@@ -338,11 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p4", type=int, default=13)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--phi", help="comma-separated pair of order-d images mod p4")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--distinct", action="store_true", default=True,
-                       help="use two distinct isomorphisms (default)")
-    group.add_argument("--equal", action="store_true",
-                       help="negative control with equal isomorphisms")
+    p.add_argument("--equal", action="store_true",
+                   help="negative control with equal isomorphisms")
     p.add_argument("--out")
     budgets(p)
     p.set_defaults(func=cmd_example12)

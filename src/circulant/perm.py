@@ -4,10 +4,15 @@ Permutations are dense image tuples.  Composition is left-to-right:
 mult(p, q) applies p first, then q.  Groups carry a lazily built
 deterministic Schreier-Sims stabilizer chain that certifies the order and
 supports membership sifting; a base prefix can be prescribed, which is
-how block-kernel and prefix-stabilizer computations are realized.
+how block-kernel and prefix-stabilizer computations are realized.  A
+chain known by construction is assembled from its levels instead
+(``translation_chain``, ``symmetric_chain``); its translation and
+transposition levels are made on demand rather than stored.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -59,12 +64,67 @@ def translation(n: int, k: int) -> Perm:
     return tuple((x + k) % n for x in range(n))
 
 
+def _transposition(n: int, a: int, b: int) -> Perm:
+    img = list(range(n))
+    img[a], img[b] = b, a
+    return tuple(img)
+
+
+class _Translations(Mapping):
+    """Transversal {v: (x -> x+v, x -> x-v)} of the stabilizer of 0 in a
+    group containing the translations of Z_n, made on demand."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, v: int) -> tuple[Perm, Perm]:
+        if not 0 <= v < self.n:
+            raise KeyError(v)
+        return translation(self.n, v), translation(self.n, -v)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(range(self.n))
+
+
+class _Transpositions(Mapping):
+    """Level b of Sym(n) over the base 0, 1, ..., n-2: the transversal
+    {pt: ((b pt), (b pt))} for pt >= b, made on demand.  The level's group
+    Sym({b..n-1}) is generated by (b b+1) and the cycle (b b+1 ... n-1)."""
+
+    def __init__(self, n: int, b: int):
+        self.n = n
+        self.b = b
+
+    def __getitem__(self, pt: int) -> tuple[Perm, Perm]:
+        if not self.b <= pt < self.n:
+            raise KeyError(pt)
+        t = _transposition(self.n, self.b, pt)
+        return t, t
+
+    def __len__(self) -> int:
+        return self.n - self.b
+
+    def __iter__(self):
+        return iter(range(self.b, self.n))
+
+    def generators(self) -> list[Perm]:
+        n, b = self.n, self.b
+        swap = _transposition(n, b, b + 1)
+        if n - b == 2:
+            return [swap]
+        return [swap, tuple(range(b)) + tuple(range(b + 1, n)) + (b,)]
+
+
 class StabChain:
     """Deterministic incremental Schreier-Sims chain.
 
     ``base`` may be prescribed up front (levels are created eagerly), in
     which case the pointwise stabilizer of any base prefix is generated by
-    the strong generators fixing that prefix.
+    the strong generators fixing that prefix.  ``from_levels`` assembles a
+    read-only chain from levels known by construction instead.
     """
 
     def __init__(self, degree: int, base: tuple[int, ...] = ()):
@@ -72,7 +132,8 @@ class StabChain:
         self.base: list[int] = []
         self.gen_lists: list[list[Perm]] = []
         # transversals[i][pt] = (u, u^-1) with u[base[i]] = pt
-        self.transversals: list[dict[int, tuple[Perm, Perm]]] = []
+        self.transversals: list[Mapping[int, tuple[Perm, Perm]]] = []
+        self._read_only = False
         # per level: generators seen by the closure scan and the pair queue
         self._known: list[list[Perm]] = []
         self._orbit_order: list[list[int]] = []
@@ -83,17 +144,17 @@ class StabChain:
 
     @classmethod
     def from_levels(cls, degree: int, levels) -> "StabChain":
-        """Assemble a chain from (basepoint, transversal, generators)
-        triples that are known (by construction) to form a valid chain."""
+        """Assemble a read-only chain from (basepoint, transversal,
+        generators) triples that are known by construction to form a valid
+        chain: the transversal maps each orbit point pt to (u, u^-1) with
+        u[basepoint] = pt, and the generators are the strong generators
+        added at that level."""
         chain = cls(degree)
+        chain._read_only = True
         for b, trans, gens in levels:
             chain.base.append(b)
-            chain.transversals.append(
-                {pt: (u, inverse(u)) for pt, u in trans.items()})
+            chain.transversals.append(trans)
             chain.gen_lists.append(list(gens))
-            chain._known.append([])
-            chain._orbit_order.append([])
-            chain._pending.append([])
         return chain
 
     def _new_level(self, b: int) -> None:
@@ -106,10 +167,15 @@ class StabChain:
 
     def level_generators(self, level: int) -> list[Perm]:
         """Generators of the stabilizer of base[:level] (strong generators
-        added at this level or deeper)."""
+        added at this level or deeper; a transposition level generates its
+        own group and everything below it)."""
         out = []
-        for lst in self.gen_lists[level:]:
-            out.extend(lst)
+        for lev in range(level, len(self.base)):
+            trans = self.transversals[lev]
+            if isinstance(trans, _Transpositions):
+                out.extend(trans.generators())
+                break
+            out.extend(self.gen_lists[lev])
         return out
 
     def strong_generators(self) -> list[Perm]:
@@ -142,6 +208,8 @@ class StabChain:
     def insert(self, g: Perm) -> bool:
         """Add g to the group if not already a member.  Returns True if the
         group grew."""
+        if self._read_only:
+            raise TypeError("an assembled chain is read-only")
         residue, lev = self.strip(g)
         if is_identity(residue):
             return False
@@ -225,6 +293,21 @@ class StabChain:
                     yield mult(sub, u)
 
         yield from rec(0)
+
+
+def translation_chain(n: int, levels=()) -> StabChain:
+    """Chain of a group containing the translations of Z_n: level 0 has
+    base point 0 and the translations as its transversal, made on demand;
+    ``levels`` are those of the stabilizer of 0 (see from_levels)."""
+    level0 = (0, _Translations(n), [translation(n, 1)])
+    return StabChain.from_levels(n, [level0, *levels])
+
+
+def symmetric_chain(n: int) -> StabChain:
+    """Chain of Sym(n) (n >= 2) over the base 0, 1, ..., n-2: translations,
+    then transposition levels, all made on demand."""
+    return translation_chain(n, [(b, _Transpositions(n, b), [])
+                                 for b in range(1, n - 1)])
 
 
 class PermGroup:

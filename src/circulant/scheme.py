@@ -2,12 +2,16 @@
 
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
-(the edge-color table is fixed; refinement is one-dimensional).  Since the
-translations are always automorphisms and act regularly, the full group
-is the product of the translations with that stabilizer, which also gives
-the exact order without a separate chain construction.  Discovered
-automorphisms extend the known group immediately and prune sibling
-branches through prefix-stabilizer orbits.
+(the edge-color table is fixed; refinement is one-dimensional).  The
+search fixes a base on its first path and finishes each level before the
+one above it, so the automorphisms found at levels >= L generate the
+pointwise stabilizer of the first L base points: they are a strong
+generating set, and each level's transversal is one orbit computation
+away.  Within a level, the orbits of the automorphisms found so far prune
+the remaining candidates.  Since the translations are always
+automorphisms and act regularly, the full group's stabilizer chain is
+that of the stabilizer of 0 below an implicit translation level, with no
+Schreier-Sims run; a ring of rank <= 2 gets the implicit chain of Sym(n).
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .perm import (
     PermGroup,
-    StabChain,
+    identity,
     induced_on_section,
     intersect,
     inverse,
     mult,
+    symmetric_chain,
     translation,
+    translation_chain,
     two_equivalent,
 )
 from .sring import SRing, classify, section_ring
@@ -58,8 +64,9 @@ class CayleyScheme:
     def color_matrix(self) -> np.ndarray:
         n = self.n
         cell_of = np.fromiter(self.ring.cell_of, dtype=np.uint16, count=n)
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return cell_of[idx]
+        # row g is cell_of rolled right by g: windows n, n-1, ..., 1 of cell_of twice
+        twice = np.concatenate([cell_of, cell_of])
+        return np.lib.stride_tricks.sliding_window_view(twice, n)[n:0:-1].copy()
 
 
 def cayley_scheme(ring: SRing) -> CayleyScheme:
@@ -72,7 +79,7 @@ class _StabilizerSearch:
 
     def __init__(self, scheme: CayleyScheme, node_budget: int):
         self.n = scheme.n
-        self.D = scheme.color_matrix.astype(np.int64)
+        self.D = scheme.color_matrix
         self.ncolors = scheme.ncolors
         self.node_budget = node_budget
         self.nodes = 0
@@ -91,7 +98,8 @@ class _StabilizerSearch:
             self.p_seq.append(self._refine(self._individualize(cells, ci, b)))
         self.p_shapes = [tuple(len(c) for c in p) for p in self.p_seq]
         self.p_leaf = np.concatenate(self.p_seq[-1]) if self.n else np.array([], dtype=np.int64)
-        self.known = StabChain(self.n, base=tuple(self.base))
+        # found[L]: automorphisms found at level L (fixing base[:L])
+        self.found: list[list[tuple]] = [[] for _ in self.base]
         self._orbit_cache: dict[int, tuple[int, list[int]]] = {}
         self._version = 0
 
@@ -132,7 +140,7 @@ class _StabilizerSearch:
             for i, c in enumerate(cells):
                 cell_id[c] = i
             active = np.concatenate([c for c in cells if len(c) > 1])
-            keys = D[active] * C + cell_id[None, :]
+            keys = D[active].astype(np.int64) * C + cell_id[None, :]
             keys.sort(axis=1)
             row_of = {int(v): i for i, v in enumerate(active)}
             new_cells = []
@@ -154,13 +162,16 @@ class _StabilizerSearch:
                 return new_cells
             cells = new_cells
 
+    def _level_generators(self, level: int) -> list[tuple]:
+        return [g for gens in self.found[level:] for g in gens]
+
     def _prefix_orbits(self, level: int) -> list[int]:
-        """orbit_id[v] under the pointwise stabilizer of base[:level] in the
-        known group; cached until the known group grows."""
+        """orbit_id[v] under the automorphisms found at this level or
+        deeper; cached until another is found."""
         cached = self._orbit_cache.get(level)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        gens = self.known.level_generators(level)
+        gens = self._level_generators(level)
         orbit_id = [-1] * self.n
         for x in range(self.n):
             if orbit_id[x] != -1:
@@ -177,9 +188,30 @@ class _StabilizerSearch:
         self._orbit_cache[level] = (self._version, orbit_id)
         return orbit_id
 
-    def run(self) -> StabChain:
+    def run(self) -> list:
+        """Search, then return the stabilizer chain levels of the stabilizer
+        of 0 as (base point, transversal, automorphisms found there)."""
         self._descend_on_path(0, self.p_seq[0])
-        return self.known
+        return [(b, self._transversal(level), self.found[level])
+                for level, b in enumerate(self.base)]
+
+    def _transversal(self, level: int) -> dict:
+        """{pt: (u, u^-1)} over the orbit of base[level], by breadth-first
+        search under the automorphisms found at this level or deeper."""
+        b = self.base[level]
+        gens = self._level_generators(level)
+        e = identity(self.n)
+        trans = {b: (e, e)}
+        queue = [b]
+        for pt in queue:
+            u = trans[pt][0]
+            for g in gens:
+                img = g[pt]
+                if img not in trans:
+                    v = mult(u, g)
+                    trans[img] = (v, inverse(v))
+                    queue.append(img)
+        return trans
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -207,7 +239,7 @@ class _StabilizerSearch:
             if tuple(len(c) for c in q2) == self.p_shapes[level + 1]:
                 f = self._descend_off_path(level + 1, q2)
             if f is not None:
-                self.known.insert(f)
+                self.found[level].append(f)
                 self._version += 1
             processed.add(v)
 
@@ -231,64 +263,23 @@ class _StabilizerSearch:
         return None
 
 
-def _aut_from_stabilizer(n: int, stab: StabChain) -> PermGroup:
-    """Assemble Aut = <translations, stabilizer of 0> with an exact chain:
-    the translations form a regular transversal of the stabilizer."""
-    t1 = translation(n, 1)
-    level0 = (0, {v: translation(n, v) for v in range(n)}, [t1])
-    levels = [level0] + [
-        (stab.base[i], {pt: pair[0] for pt, pair in stab.transversals[i].items()},
-         stab.gen_lists[i])
-        for i in range(len(stab.base))
-    ]
-    chain = StabChain.from_levels(n, levels)
-    gens = [t1] + stab.strong_generators()
-    return PermGroup(n, gens, chain=chain)
-
-
-def _transposition(n: int, a: int, b: int) -> tuple:
-    img = list(range(n))
-    img[a], img[b] = b, a
-    return tuple(img)
-
-
-def symmetric_stabilizer0_gens(n: int) -> list:
-    """Generators of the stabilizer of 0 in Sym(n)."""
-    if n <= 2:
-        return []
-    gens = [tuple([0, 2, 1] + list(range(3, n)))]
-    if n > 3:
-        gens.append(tuple([0] + list(range(2, n)) + [1]))
-    return gens
-
-
-def _symmetric_aut(n: int) -> PermGroup:
-    """Sym(n) with an explicit chain (translations, then transposition
-    transversals), avoiding a Schreier-Sims run on a huge group."""
-    if n == 1:
-        return PermGroup(1, [])
-    t1 = translation(n, 1)
-    levels = [(0, {v: translation(n, v) for v in range(n)}, [t1])]
-    for b in range(1, n - 1):
-        trans = {pt: _transposition(n, b, pt) for pt in range(b, n)}
-        levels.append((b, trans, []))
-    chain = StabChain.from_levels(n, levels)
-    return PermGroup(n, [t1] + symmetric_stabilizer0_gens(n), chain=chain)
+def _chain_group(chain) -> PermGroup:
+    return PermGroup(chain.degree, chain.strong_generators(), chain=chain)
 
 
 @lru_cache(maxsize=4096)
-def _aut_group_cached(ring: SRing, node_budget: int) -> tuple[PermGroup, tuple]:
+def _aut_group_cached(ring: SRing, node_budget: int) -> PermGroup:
     n = ring.n
+    if n == 1:
+        return PermGroup(1, [])
     if ring.rank <= 2:
         # A scheme with at most one off-diagonal color is preserved by every
         # permutation, so Aut = Sym(n) exactly.
-        return _symmetric_aut(n), tuple(symmetric_stabilizer0_gens(n))
+        return _chain_group(symmetric_chain(n))
     scheme = cayley_scheme(ring)
-    search = _StabilizerSearch(scheme, node_budget)
-    stab = search.run()
-    group = _aut_from_stabilizer(n, stab)
+    group = _chain_group(translation_chain(n, _StabilizerSearch(scheme, node_budget).run()))
     _verify_color_preserving(scheme, group.generators)
-    return group, tuple(stab.strong_generators())
+    return group
 
 
 def _verify_color_preserving(scheme: CayleyScheme, gens) -> None:
@@ -310,16 +301,15 @@ def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
     if ring.n > max_n:
         raise BudgetError(
             f"automorphism search bound exceeded: n={ring.n} > {max_n}")
-    return _aut_group_cached(ring, node_budget)[0]
+    return _aut_group_cached(ring, node_budget)
 
 
 def stabilizer0_generators(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
-    """Generators of the stabilizer of 0 in Aut(ring)."""
-    if ring.n > max_n:
-        raise BudgetError(
-            f"automorphism search bound exceeded: n={ring.n} > {max_n}")
-    return _aut_group_cached(ring, node_budget)[1]
+    """Generators of the stabilizer of 0 in Aut(ring): those of level 1 of
+    its chain, whose base starts at 0."""
+    group = aut_group(ring, max_n=max_n, node_budget=node_budget)
+    return tuple(group.chain.level_generators(1))
 
 
 def stabilizer0_orbits(ring: SRing, **kwargs) -> tuple[tuple[int, ...], ...]:

@@ -27,7 +27,9 @@ from circulant.perm import (
     inverse,
     is_identity,
     mult,
+    symmetric_chain,
     translation,
+    translation_chain,
     unit_generators,
     _induced_perm,
 )
@@ -86,6 +88,22 @@ def test_prescribed_base_chain():
     stab_gens = chain.level_generators(1)
     assert all(g[2] == 2 for g in stab_gens)
     assert PermGroup(4, stab_gens).order() == 6
+
+
+def test_assembled_chains_make_levels_on_demand():
+    trans = translation_chain(5)
+    assert trans.order() == 5
+    assert set(trans.elements()) == set(translations(5).elements())
+    assert trans.contains(translation(5, 3))
+    assert not trans.contains((1, 0, 2, 3, 4))
+    sym = symmetric_chain(5)
+    assert sym.order() == 120
+    assert set(sym.elements()) == set(symmetric(5).elements())
+    assert all(sym.contains(g) for g in symmetric(5).elements())
+    assert symmetric_chain(2).order() == 2
+    for chain in (trans, sym):
+        with pytest.raises(TypeError):
+            chain.insert((1, 0, 2, 3, 4))
 
 
 def test_two_orbits_examples():

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from circulant import (
     brute_force_srings,
     cayley_scheme,
     cyclotomic,
+    enumerate_srings,
     group_ring,
     is_normal,
     is_schurian,
@@ -22,9 +26,14 @@ from circulant import (
     two_equivalent,
     induced_on_section,
 )
-from circulant.perm import groups_equal
+from circulant.perm import PermGroup, groups_equal, is_identity, mult, symmetric
+from circulant.scheme import DEFAULT_NODE_BUDGET, _StabilizerSearch, _aut_group_cached
 from circulant.structure import canonical_gwp
-from circulant.perm import symmetric
+
+# sha256 prefix of [n, nodes visited, generators found by level] over every
+# catalog ring with n <= 30 and rank > 2, recorded when each found
+# automorphism still went through Schreier-Sims
+SEARCH_DIGEST_N30 = "feb684fa2aca772f"
 
 
 def brute_force_aut_order(ring):
@@ -156,3 +165,52 @@ def test_aut_output_is_verified(z9_fixture):
         for g in aut_group(ring).generators:
             f = np.fromiter(g, dtype=np.int64)
             assert np.array_equal(D[f][:, f], D)
+
+
+def test_rank2_aut_is_implicit_symmetric():
+    assert aut_group(rank2(1000)).order() == math.factorial(1000)
+    ring = rank2(200)
+    _aut_group_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert aut_group(ring).order() == math.factorial(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_aut_chain_levels_generate_their_stabilizers(z9_fixture):
+    rings = [z9_fixture] + [rank2(n) for n in range(2, 9)]
+    rings += [ring for n in (12, 16, 18) for ring in enumerate_srings(n)]
+    for ring in rings:
+        chain = aut_group(ring).chain
+        n = ring.n
+        for level, b in enumerate(chain.base):
+            gens = chain.level_generators(level)
+            assert all(g[x] == x for g in gens for x in chain.base[:level])
+            group = PermGroup(n, gens)
+            orbit = next(o for o in group.orbits() if b in o)
+            trans = chain.transversals[level]
+            assert sorted(trans) == orbit, (ring.cells, level)
+            for pt, (u, u_inv) in trans.items():
+                assert u[b] == pt and is_identity(mult(u, u_inv))
+            assert group.order() == math.prod(len(t) for t in chain.transversals[level:])
+
+
+def test_search_generators_are_a_strong_generating_set():
+    """The chain assembled from the search has the order that Schreier-Sims
+    certifies for the same generators, and the search visits the nodes and
+    finds the generators it did when Schreier-Sims absorbed each one."""
+    rows = []
+    for n in range(2, 31):
+        for ring in enumerate_srings(n):
+            if ring.rank <= 2:
+                continue
+            aut = aut_group(ring)
+            assert aut.order() == PermGroup(n, aut.generators).order(), ring.cells
+            search = _StabilizerSearch(cayley_scheme(ring), DEFAULT_NODE_BUDGET)
+            search.run()
+            rows.append([n, search.nodes, [list(g) for gens in search.found for g in gens]])
+    assert len(rows) == 718
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == SEARCH_DIGEST_N30
