@@ -16,7 +16,7 @@ n <= 13.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import BudgetError, DomainError
@@ -61,8 +61,12 @@ class Catalog:
     def __iter__(self):
         return iter(self.entries)
 
+    @cached_property
+    def _entry_set(self) -> frozenset[SRing]:
+        return frozenset(self.entries)
+
     def __contains__(self, ring: SRing) -> bool:
-        return ring in set(self.entries)
+        return ring in self._entry_set
 
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BudgetError, DomainError
 from .catalog import (
+    ENUMERATE_MAX_N,
     Example12Params,
     enumerate_srings,
     example12,
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="catalog of all S-rings over Z_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-enum-n", type=int, default=200)
+    p.add_argument("--max-enum-n", type=int, default=ENUMERATE_MAX_N)
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 

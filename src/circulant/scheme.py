@@ -29,6 +29,7 @@ from .perm import (
     intersect,
     inverse,
     mult,
+    orbits,
     symmetric_chain,
     translation,
     translation_chain,
@@ -315,25 +316,7 @@ def stabilizer0_generators(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
 def stabilizer0_orbits(ring: SRing, **kwargs) -> tuple[tuple[int, ...], ...]:
     """Orbits on Z_n of the stabilizer of 0 in Aut(ring), canonical form."""
     gens = stabilizer0_generators(ring, **kwargs)
-    n = ring.n
-    seen = [False] * n
-    cells = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in gens:
-                z = g[y]
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        for y in orbit:
-            seen[y] = True
-        cells.append(tuple(sorted(orbit)))
-    return tuple(cells)
+    return tuple(tuple(orbit) for orbit in orbits(ring.n, gens))
 
 
 def is_schurian(ring: SRing, *, max_n: int = DEFAULT_SCHURITY_MAX_N,

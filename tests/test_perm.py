@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from circulant import (
     BudgetError,
     DomainError,
     Section,
+    SRing,
+    aut_group,
+    enumerate_srings,
     holomorph,
     induced_on_section,
     intersect,
     kernel_on_blocks,
     preimage_with_induced,
+    resolve,
     symmetric,
     translations,
     two_equivalent,
@@ -106,6 +111,35 @@ def test_assembled_chains_make_levels_on_demand():
             chain.insert((1, 0, 2, 3, 4))
 
 
+def pair_bfs_two_orbits(group):
+    """Reference 2-orbits: breadth-first search over all m*m pairs, labels
+    in row-major order of first encounter."""
+    m = group.degree
+    labels = np.full((m, m), -1, dtype=np.int32)
+    next_label = 0
+    for x in range(m):
+        for y in range(m):
+            if labels[x, y] != -1:
+                continue
+            stack = [(x, y)]
+            labels[x, y] = next_label
+            while stack:
+                a, b = stack.pop()
+                for g in group.generators:
+                    c, d = g[a], g[b]
+                    if labels[c, d] == -1:
+                        labels[c, d] = next_label
+                        stack.append((c, d))
+            next_label += 1
+    return labels
+
+
+def assert_same_labels(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_two_orbits_examples():
     assert len(np.unique(two_orbits(translations(6)))) == 6
     assert len(np.unique(two_orbits(symmetric(4)))) == 2
@@ -126,6 +160,72 @@ def test_two_orbits_redundant_generators(m, rng):
         extra = mult(rng.choice(gens), rng.choice(gens))
         g2 = PermGroup(m, gens + [extra])
         assert two_equivalent(g, g2)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3),
+       st.booleans(), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_two_orbits_matches_pair_bfs(m, ngens, with_unit_translation, rng):
+    gens = [tuple(rng.sample(range(m), m)) for _ in range(ngens)]
+    if with_unit_translation:
+        gens.insert(0, translation(m, 1))
+    group = PermGroup(m, gens)
+    labels = pair_bfs_two_orbits(group)
+    assert_same_labels(two_orbits(group), labels)
+    # the point orbits are the orbits on the diagonal pairs (x, x)
+    diagonal = {}
+    for x in range(m):
+        diagonal.setdefault(labels[x, x], []).append(x)
+    assert group.orbits() == list(diagonal.values())
+
+
+def test_two_orbits_of_catalog_groups_match_pair_bfs():
+    # every Aut group and resolve group over the catalogs with n <= 24;
+    # both kinds have x -> x+1 among their generators
+    for n in range(1, 25):
+        for ring in enumerate_srings(n):
+            for group in (aut_group(ring), resolve(ring).group):
+                fresh = PermGroup(n, group.generators)
+                assert n == 1 or translation(n, 1) in fresh.generators
+                assert_same_labels(two_orbits(fresh), pair_bfs_two_orbits(group))
+
+
+def test_two_equivalent_mixes_difference_and_pair_classes():
+    # holomorph(m) has x -> x+1 among its generators; the same group from
+    # x -> x+2 and the unit multipliers does not, nor does a point stabilizer
+    for m in (5, 7, 9, 12):
+        hol = holomorph(m)
+        other = PermGroup(m, [translation(m, 2)] + list(hol.generators[1:]))
+        stab = PermGroup(m, hol.generators[1:])
+        for a, b in ((hol, other), (other, hol), (hol, stab), (stab, hol)):
+            want = np.array_equal(pair_bfs_two_orbits(a), pair_bfs_two_orbits(b))
+            assert two_equivalent(a, b) == want
+        assert two_equivalent(hol, other) == (m % 2 == 1)
+        assert not two_equivalent(hol, stab)
+    # one dihedral group of Z_400 through long cycles of pairs, and through
+    # its differences
+    m = 400
+    flip = tuple(-x % m for x in range(m))
+    pairs = PermGroup(m, [translation(m, 3), flip])
+    differences = PermGroup(m, [translation(m, 1), flip])
+    assert_same_labels(two_orbits(pairs), two_orbits(differences))
+    assert two_equivalent(pairs, differences)
+
+
+def test_two_equivalent_of_translation_groups_builds_no_pair_matrix():
+    n = 2000
+    ring = SRing(n, tuple(sorted({tuple(sorted({x, -x % n})) for x in range(n)})))
+    aut = aut_group(ring)
+    copy = PermGroup(n, aut.generators)
+    tracemalloc.start()
+    try:
+        assert two_equivalent(aut, copy)
+        assert two_equivalent(aut, aut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n int32 label matrix is 16 MB
+    assert peak < n * n * 4
 
 
 def test_induced_on_section_examples():
