@@ -8,10 +8,15 @@ one above it, so the automorphisms found at levels >= L generate the
 pointwise stabilizer of the first L base points: they are a strong
 generating set, and each level's transversal is one orbit computation
 away.  Within a level, the orbits of the automorphisms found so far prune
-the remaining candidates.  Since the translations are always
-automorphisms and act regularly, the full group's stabilizer chain is
-that of the stabilizer of 0 below an implicit translation level, with no
-Schreier-Sims run; a ring of rank <= 2 gets the implicit chain of Sym(n).
+the remaining candidates.  Off the first path, each node first tests the
+map that aligns the first path's partition at its level with its own,
+cell by cell and position by position; refinement keeps cells ascending
+and splits them in place, so when that map is an automorphism it is the
+leaf the depth-first descent would reach first, and the descent is
+skipped.  Since the translations are always automorphisms and act
+regularly, the full group's stabilizer chain is that of the stabilizer
+of 0 below an implicit translation level, with no Schreier-Sims run; a
+ring of rank <= 2 gets the implicit chain of Sym(n).
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class _StabilizerSearch:
             self.target_cells.append(ci)
             self.p_seq.append(self._refine(self._individualize(cells, ci, b)))
         self.p_shapes = [tuple(len(c) for c in p) for p in self.p_seq]
-        self.p_leaf = np.concatenate(self.p_seq[-1]) if self.n else np.array([], dtype=np.int64)
+        # p_flat[L]: the first path's partition at level L, cells concatenated
+        self.p_flat = [np.concatenate(p) for p in self.p_seq]
         # found[L]: automorphisms found at level L (fixing base[:L])
         self.found: list[list[tuple]] = [[] for _ in self.base]
         self._orbit_cache: dict[int, tuple[int, list[int]]] = {}
@@ -214,11 +220,14 @@ class _StabilizerSearch:
                     queue.append(img)
         return trans
 
-    def _tick(self) -> None:
+    def _tick(self, level: int) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
+            found = sum(len(gens) for gens in self.found)
             raise BudgetError(
-                f"automorphism search budget exhausted after {self.nodes} nodes")
+                f"automorphism search budget exhausted after {self.nodes} nodes, "
+                f"at level {level} of base length {len(self.base)}, "
+                f"automorphisms found: {found}")
 
     def _descend_on_path(self, level: int, cells) -> None:
         if level == len(self.base):
@@ -234,7 +243,7 @@ class _StabilizerSearch:
             if any(orbit[v] == orbit[w] for w in processed):
                 processed.add(v)
                 continue
-            self._tick()
+            self._tick(level)
             q2 = self._refine(self._individualize(cells, ci, v))
             f = None
             if tuple(len(c) for c in q2) == self.p_shapes[level + 1]:
@@ -244,17 +253,34 @@ class _StabilizerSearch:
                 self._version += 1
             processed.add(v)
 
+    def _aligned_map(self, level: int, cells) -> tuple | None:
+        """The map taking the first path's partition at this level onto
+        cells position by position, if it preserves every color."""
+        f = np.empty(self.n, dtype=np.int64)
+        f[self.p_flat[level]] = np.concatenate(cells)
+        if np.array_equal(self.D[f][:, f], self.D):
+            return tuple(f.tolist())
+        return None
+
     def _descend_off_path(self, level: int, cells):
-        if level == len(self.base):
-            q_leaf = np.concatenate(cells)
-            f = np.empty(self.n, dtype=np.int64)
-            f[self.p_leaf] = q_leaf
-            if np.array_equal(self.D[f][:, f], self.D):
-                return tuple(int(x) for x in f)
-            return None
+        """The first automorphism, in depth-first candidate order, among
+        the leaves below this node, or None.
+
+        The aligned map is tried first.  Refinement splits a cell only
+        within its own positions and keeps every cell ascending, so the
+        aligned map fixes base[:level] and is increasing on each cell.
+        When it is an automorphism, the first candidate at each deeper
+        level is its image of the base point, the refined partitions are
+        its images of the first path's, and the leaf reached is the map
+        itself: the descent would return it.  Only at the leaf is a
+        failed test final; above it the candidates are searched.
+        """
+        f = self._aligned_map(level, cells)
+        if f is not None or level == len(self.base):
+            return f
         ci = self.target_cells[level]
         for v in sorted(cells[ci].tolist()):
-            self._tick()
+            self._tick(level)
             q2 = self._refine(self._individualize(cells, ci, v))
             if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:
                 continue

@@ -1,5 +1,6 @@
 import json
 
+from circulant import cyclotomic
 from circulant.cli import main
 
 
@@ -39,6 +40,16 @@ def test_budget_exit_code(capsys):
     code, out, err = run_cli(capsys, "schurity", "--n", "1100", "--ring", ring)
     assert code == 2
     assert "budget_error" in json.loads(err) or "budget_error" in err
+
+
+def test_search_budget_error_goes_to_stderr(capsys):
+    ring = json.dumps({"basic_sets": [list(c) for c in cyclotomic(35, (2,)).cells]})
+    code, out, err = run_cli(capsys, "aut", "--n", "35", "--ring", ring, "--max-nodes", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"budget_error": (
+        "automorphism search budget exhausted after 2 nodes, at level 2 of "
+        "base length 4, automorphisms found: 1")}
 
 
 def test_construct_and_analyze(capsys):

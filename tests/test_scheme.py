@@ -28,12 +28,47 @@ from circulant import (
 )
 from circulant.perm import PermGroup, groups_equal, is_identity, mult, symmetric
 from circulant.scheme import DEFAULT_NODE_BUDGET, _StabilizerSearch, _aut_group_cached
+from circulant.sring import SRing
 from circulant.structure import canonical_gwp
 
 # sha256 prefix of [n, nodes visited, generators found by level] over every
 # catalog ring with n <= 30 and rank > 2, recorded when each found
-# automorphism still went through Schreier-Sims
+# automorphism still went through Schreier-Sims; _FullDescentSearch
+# reproduces it
 SEARCH_DIGEST_N30 = "feb684fa2aca772f"
+# nodes the search visits over the same rings, trying the aligned map at
+# every off-path node (30563 for _FullDescentSearch)
+SEARCH_NODES_N30 = 5466
+
+
+class _FullDescentSearch(_StabilizerSearch):
+    """Oracle: the search as it was before the aligned-map test, which
+    descends through the candidates of every off-path node down to a leaf
+    and tests only the leaf."""
+
+    def _descend_off_path(self, level, cells):
+        if level == len(self.base):
+            f = np.empty(self.n, dtype=np.int64)
+            f[np.concatenate(self.p_seq[-1])] = np.concatenate(cells)
+            if np.array_equal(self.D[f][:, f], self.D):
+                return tuple(int(x) for x in f)
+            return None
+        ci = self.target_cells[level]
+        for v in sorted(cells[ci].tolist()):
+            self._tick(level)
+            q2 = self._refine(self._individualize(cells, ci, v))
+            if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:
+                continue
+            f = self._descend_off_path(level + 1, q2)
+            if f is not None:
+                return f
+        return None
+
+
+def run_search(cls, ring):
+    search = cls(cayley_scheme(ring), DEFAULT_NODE_BUDGET)
+    search.run()
+    return search
 
 
 def brute_force_aut_order(ring):
@@ -200,17 +235,53 @@ def test_aut_chain_levels_generate_their_stabilizers(z9_fixture):
 
 def test_search_generators_are_a_strong_generating_set():
     """The chain assembled from the search has the order that Schreier-Sims
-    certifies for the same generators, and the search visits the nodes and
-    finds the generators it did when Schreier-Sims absorbed each one."""
+    certifies for the same generators.  The full-descent oracle visits the
+    nodes and finds the generators it did when Schreier-Sims absorbed each
+    one, and the search finds the same base and the same generators level
+    by level from no more nodes."""
     rows = []
+    nodes = 0
     for n in range(2, 31):
         for ring in enumerate_srings(n):
             if ring.rank <= 2:
                 continue
             aut = aut_group(ring)
             assert aut.order() == PermGroup(n, aut.generators).order(), ring.cells
-            search = _StabilizerSearch(cayley_scheme(ring), DEFAULT_NODE_BUDGET)
-            search.run()
-            rows.append([n, search.nodes, [list(g) for gens in search.found for g in gens]])
+            oracle = run_search(_FullDescentSearch, ring)
+            rows.append([n, oracle.nodes, [list(g) for gens in oracle.found for g in gens]])
+            search = run_search(_StabilizerSearch, ring)
+            assert search.base == oracle.base, ring.cells
+            assert search.found == oracle.found, ring.cells
+            assert search.nodes <= oracle.nodes, ring.cells
+            nodes += search.nodes
     assert len(rows) == 718
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == SEARCH_DIGEST_N30
+    assert nodes == SEARCH_NODES_N30
+
+
+def test_search_falls_back_to_candidates_when_the_aligned_map_fails():
+    """At one off-path node of this Z_10 ring the aligned map is not an
+    automorphism, and the candidate loop below it finds the one the
+    full descent finds."""
+
+    class Recording(_StabilizerSearch):
+        fallbacks = 0
+
+        def _descend_off_path(self, level, cells):
+            f = super()._descend_off_path(level, cells)
+            if f is not None and self._aligned_map(level, cells) is None:
+                self.fallbacks += 1
+            return f
+
+    ring = SRing(10, ((0,), (1, 3, 5, 7, 9), (2, 8), (4, 6)))
+    search = run_search(Recording, ring)
+    oracle = run_search(_FullDescentSearch, ring)
+    assert search.fallbacks == 1
+    assert search.base == oracle.base
+    assert search.found == oracle.found
+
+
+def test_budget_error_says_how_far_the_search_got():
+    with pytest.raises(BudgetError, match=r"after 2 nodes, at level 2 of base length 4, "
+                                          r"automorphisms found: 1$"):
+        aut_group(cyclotomic(35, (2,)), node_budget=1)
