@@ -8,7 +8,6 @@ from .zn import (
     divisors,
     is_multiple,
     is_prime,
-    section_project,
     subgroup_elements,
     unit_orbits,
 )
@@ -42,9 +41,7 @@ from .perm import (
     two_orbits,
 )
 from .scheme import (
-    CayleyScheme,
     aut_group,
-    cayley_scheme,
     is_normal,
     is_schurian,
     nonschurity_criterion,
@@ -73,14 +70,14 @@ from .catalog import (
 __all__ = [
     "BudgetError", "DomainError",
     "Section", "big_omega", "divisors", "is_multiple", "is_prime",
-    "section_project", "subgroup_elements", "unit_orbits",
+    "subgroup_elements", "unit_orbits",
     "Classification", "SRing", "classify", "cyclotomic", "generalized_wreath",
     "group_ring", "multiplier_image", "radical", "radical_of_set", "rank2",
     "section_ring", "subgroup_lattice", "tensor", "validate", "wreath",
     "PermGroup", "holomorph", "induced_on_section", "intersect",
     "kernel_on_blocks", "preimage_with_induced", "symmetric", "translations",
     "two_equivalent", "two_orbits",
-    "CayleyScheme", "aut_group", "cayley_scheme", "is_normal", "is_schurian",
+    "aut_group", "is_normal", "is_schurian",
     "nonschurity_criterion", "stabilizer0_orbits",
     "GwrSpec", "ProjClass", "canonical_gwp", "ext", "gwr_group",
     "isolated_pair", "proj_classes", "resolve", "singular_classes",

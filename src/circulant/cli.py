@@ -40,7 +40,6 @@ from .sring import (
     rank2,
     subgroup_lattice,
     tensor,
-    validate,
 )
 from .structure import proj_classes, resolve, singular_classes
 from .zn import Section, big_omega
@@ -56,23 +55,32 @@ def _emit(args, payload: dict) -> None:
 
 
 def _load_ring(args) -> SRing:
-    if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            text = fh.read()
-    elif getattr(args, "ring", None):
-        text = args.ring
-    else:
-        raise DomainError("no ring given: use --ring JSON or --in FILE")
+    if args.infile:
+        try:
+            with open(args.infile) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read {args.infile}: {exc.strerror}") from exc
+        return SRing.from_json(text, args.n)
+    if args.ring:
+        return SRing.from_json(args.ring, args.n)
+    raise DomainError("no ring given: use --ring JSON or --in FILE")
+
+
+def _ints(flag: str, text: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of a flag's value, exactly count (1 or
+    2) of them if given.  --ns, --phi and the construct flags are parsed
+    here rather than by argparse, whose usage errors exit with 2, the budget
+    code."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
-    n = data.get("n", getattr(args, "n", None))
-    if n is None:
-        raise DomainError("modulus missing: supply --n or an 'n' key in the JSON")
-    if "n" in data and getattr(args, "n", None) not in (None, data["n"]):
-        raise DomainError(f"modulus mismatch: JSON says {data['n']}, flag says {args.n}")
-    return validate(n, data["basic_sets"])
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        need = {None: "comma-separated integers", 1: "an integer",
+                2: "a comma-separated pair of integers"}[count]
+        raise DomainError(f"{flag} takes {need}, got {text!r}")
+    return values
 
 
 def _ring_dict(ring: SRing) -> dict:
@@ -85,20 +93,23 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
+    needs = {"tensor": ("left", "right"), "gwp": ("left", "right", "u", "l")}
+    missing = [f"--{flag}" for flag in needs.get(args.kind, ()) if getattr(args, flag) is None]
+    if missing:
+        raise DomainError(f"construct --kind {args.kind} needs {', '.join(missing)}")
     if args.kind == "cyclotomic":
-        ring = cyclotomic(args.n, tuple(args.gens or ()))
+        gens = tuple(_ints("--gens", g, 1)[0] for g in args.gens or ())
+        ring = cyclotomic(args.n, gens)
     elif args.kind == "rank2":
         ring = rank2(args.n)
     elif args.kind == "full":
         ring = group_ring(args.n)
     elif args.kind == "tensor":
-        left = SRing.from_json(args.left)
-        right = SRing.from_json(args.right)
-        ring = tensor(left, right)
+        ring = tensor(SRing.from_json(args.left), SRing.from_json(args.right))
     elif args.kind == "gwp":
-        left = SRing.from_json(args.left)
-        right = SRing.from_json(args.right)
-        ring = generalized_wreath(left, right, Section(args.n, args.u, args.l))
+        [u], [l] = _ints("--u", args.u, 1), _ints("--l", args.l, 1)
+        ring = generalized_wreath(SRing.from_json(args.left), SRing.from_json(args.right),
+                                  Section(args.n, u, l))
     else:
         raise DomainError(f"unknown construction kind {args.kind!r}")
     return {"ring": _ring_dict(ring), "rank": ring.rank}
@@ -210,7 +221,7 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> dict:
-    ns = [int(x) for x in args.ns.split(",")]
+    ns = _ints("--ns", args.ns)
     payloads = [(n, args.max_n, args.max_nodes) for n in ns]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -234,7 +245,7 @@ def cmd_resolve(args) -> dict:
 def cmd_example12(args) -> dict:
     phi = None
     if args.phi is not None:
-        phi = tuple(int(x) for x in args.phi.split(","))
+        phi = tuple(_ints("--phi", args.phi, 2))
     elif args.equal:
         from .zn import multiplicative_order, unit_group
         image = next(x for x in unit_group(args.p4)
@@ -284,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["cyclotomic", "rank2", "full", "tensor", "gwp"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gens", type=int, nargs="*", help="unit generators (cyclotomic)")
+    p.add_argument("--gens", nargs="*", help="unit generators (cyclotomic)")
     p.add_argument("--left", help="left factor ring JSON (tensor/gwp)")
     p.add_argument("--right", help="right factor ring JSON (tensor/gwp)")
-    p.add_argument("--u", type=int, help="order of U (gwp)")
-    p.add_argument("--l", type=int, help="order of L (gwp)")
+    p.add_argument("--u", help="order of U (gwp)")
+    p.add_argument("--l", help="order of L (gwp)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 

@@ -31,6 +31,7 @@ Perm = tuple
 
 INTERSECT_ENUM_THRESHOLD = 10 ** 6
 INDUCED_TABLE_LIMIT = 10 ** 4
+BLOCK_SET_ORBIT_LIMIT = 100_000
 # edge targets per block in the orbit routines (512 KB as int64), so that
 # no temporary grows with the square of the degree; a block still holds
 # at least one row x for every generator
@@ -325,8 +326,7 @@ def symmetric_chain(n: int) -> StabChain:
 class PermGroup:
     """A permutation group of the given degree with a generator list."""
 
-    def __init__(self, degree: int, generators, chain: StabChain | None = None,
-                 base_hint: tuple[int, ...] = ()):
+    def __init__(self, degree: int, generators, chain: StabChain | None = None):
         self.degree = degree
         gens = []
         seen = set()
@@ -337,13 +337,12 @@ class PermGroup:
                 gens.append(g)
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._chain = chain
-        self._base_hint = tuple(base_hint)
         self._two_orbit_labels: np.ndarray | None = None
 
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            ch = StabChain(self.degree, base=self._base_hint)
+            ch = StabChain(self.degree)
             for g in self.generators:
                 ch.insert(g)
             self._chain = ch
@@ -633,8 +632,7 @@ def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
     return PermGroup(sec.order, induced)
 
 
-def kernel_on_blocks(group: PermGroup, blocks,
-                     set_orbit_limit: int = 100_000) -> PermGroup:
+def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
     """The subgroup fixing every block setwise.
 
     The group is made to act on the orbit of the block sets; a stabilizer
@@ -660,9 +658,9 @@ def kernel_on_blocks(group: PermGroup, blocks,
         for g in group.generators:
             img = frozenset(g[x] for x in b)
             if img not in index:
-                if len(sets) >= set_orbit_limit:
+                if len(sets) >= BLOCK_SET_ORBIT_LIMIT:
                     raise BudgetError(
-                        f"block-set orbit exceeds limit {set_orbit_limit}")
+                        f"block-set orbit exceeds limit {BLOCK_SET_ORBIT_LIMIT}")
                 index[img] = len(sets)
                 sets.append(img)
                 frontier.append(img)
@@ -701,8 +699,7 @@ def intersect(g1: PermGroup, g2: PermGroup,
     return PermGroup(small.degree, gens, chain=result)
 
 
-def induced_action_table(group: PermGroup, sec: Section,
-                         limit: int = INDUCED_TABLE_LIMIT) -> dict[Perm, Perm]:
+def induced_action_table(group: PermGroup, sec: Section) -> dict[Perm, Perm]:
     """Map each element of the induced section action to one preimage, by
     breadth-first search over products of the stabilizer generators."""
     _check_section_invariant(group, sec)
@@ -723,19 +720,19 @@ def induced_action_table(group: PermGroup, sec: Section,
         for h, hs in pairs:
             new_sigma = mult(sigma, hs)
             if new_sigma not in table:
-                if len(table) >= limit:
-                    raise BudgetError(f"induced image exceeds table limit {limit}")
+                if len(table) >= INDUCED_TABLE_LIMIT:
+                    raise BudgetError(
+                        f"induced image exceeds table limit {INDUCED_TABLE_LIMIT}")
                 new_elem = mult(elem, h)
                 table[new_sigma] = new_elem
                 frontier.append((new_sigma, new_elem))
     return table
 
 
-def preimage_with_induced(group: PermGroup, sec: Section, target,
-                          limit: int = INDUCED_TABLE_LIMIT) -> Perm:
+def preimage_with_induced(group: PermGroup, sec: Section, target) -> Perm:
     """Some group element whose induced action on the section equals
     ``target`` (BFS over generator products; identity maps to identity)."""
-    table = induced_action_table(group, sec, limit)
+    table = induced_action_table(group, sec)
     target = check_perm(target, sec.order)
     found = table.get(tuple(target))
     if found is None:

@@ -1,4 +1,7 @@
-"""Cayley schemes of S-rings and their automorphism groups.
+"""Automorphism groups of the Cayley schemes of S-rings.
+
+The scheme is read from the ring as its color matrix: the color of (g, h)
+is the index of the basic set containing h - g.
 
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
@@ -7,8 +10,10 @@ search fixes a base on its first path and finishes each level before the
 one above it, so the automorphisms found at levels >= L generate the
 pointwise stabilizer of the first L base points: they are a strong
 generating set, and each level's transversal is one orbit computation
-away.  Within a level, the orbits of the automorphisms found so far prune
-the remaining candidates.  Off the first path, each node first tests the
+away.  A union-find over Z_n, whose roots are least points, merges each
+automorphism as it is found; since every deeper level is finished before
+a level's candidates are tried, its classes are the orbits that prune
+those candidates.  Off the first path, each node first tests the
 map that aligns the first path's partition at its level with its own,
 cell by cell and position by position; refinement keeps cells ascending
 and splits them in place, so when that map is an automorphism it is the
@@ -22,7 +27,7 @@ ring of rank <= 2 gets the implicit chain of Sym(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,48 +53,30 @@ DEFAULT_SCHURITY_MAX_N = 1000
 DEFAULT_NODE_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
-class CayleyScheme:
-    """Edge coloring of Z_n x Z_n induced by an S-ring: the color of (g, h)
-    is the index of the basic set containing h - g."""
-
-    ring: SRing
-
-    @property
-    def n(self) -> int:
-        return self.ring.n
-
-    @property
-    def ncolors(self) -> int:
-        return self.ring.rank
-
-    def color_of_pair(self, g: int, h: int) -> int:
-        return self.ring.cell_of[(h - g) % self.n]
-
-    @cached_property
-    def color_matrix(self) -> np.ndarray:
-        n = self.n
-        cell_of = np.fromiter(self.ring.cell_of, dtype=np.uint16, count=n)
-        # row g is cell_of rolled right by g: windows n, n-1, ..., 1 of cell_of twice
-        twice = np.concatenate([cell_of, cell_of])
-        return np.lib.stride_tricks.sliding_window_view(twice, n)[n:0:-1].copy()
+def color_matrix(ring: SRing) -> np.ndarray:
+    """D[g, h] = index of the basic set containing h - g, as uint16."""
+    n = ring.n
+    cell_of = np.fromiter(ring.cell_of, dtype=np.uint16, count=n)
+    # row g is cell_of rolled right by g: windows n, n-1, ..., 1 of cell_of twice
+    twice = np.concatenate([cell_of, cell_of])
+    return np.lib.stride_tricks.sliding_window_view(twice, n)[n:0:-1].copy()
 
 
-def cayley_scheme(ring: SRing) -> CayleyScheme:
-    return CayleyScheme(ring)
+def _preserves_colors(D: np.ndarray, f) -> bool:
+    f = np.asarray(f, dtype=np.int64)
+    return np.array_equal(D[f][:, f], D)
 
 
 class _StabilizerSearch:
     """Backtracking search for the full group of color-preserving
     permutations fixing 0 (equivalently, preserving every basic set)."""
 
-    def __init__(self, scheme: CayleyScheme, node_budget: int):
-        self.n = scheme.n
-        self.D = scheme.color_matrix
-        self.ncolors = scheme.ncolors
+    def __init__(self, ring: SRing, node_budget: int):
+        self.n = ring.n
+        self.D = color_matrix(ring)
         self.node_budget = node_budget
         self.nodes = 0
-        initial = [np.array(cell, dtype=np.int64) for cell in scheme.ring.cells]
+        initial = [np.array(cell, dtype=np.int64) for cell in ring.cells]
         self.p_seq = [self._refine(initial)]
         self.base: list[int] = []
         self.target_cells: list[int] = []
@@ -107,8 +94,9 @@ class _StabilizerSearch:
         self.p_flat = [np.concatenate(p) for p in self.p_seq]
         # found[L]: automorphisms found at level L (fixing base[:L])
         self.found: list[list[tuple]] = [[] for _ in self.base]
-        self._orbit_cache: dict[int, tuple[int, list[int]]] = {}
-        self._version = 0
+        # union-find over Z_n of the orbits of everything found; roots are
+        # least points
+        self.parent = list(range(self.n))
 
     @staticmethod
     def _target_cell(cells) -> int | None:
@@ -169,31 +157,19 @@ class _StabilizerSearch:
                 return new_cells
             cells = new_cells
 
-    def _level_generators(self, level: int) -> list[tuple]:
-        return [g for gens in self.found[level:] for g in gens]
+    def _root(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def _prefix_orbits(self, level: int) -> list[int]:
-        """orbit_id[v] under the automorphisms found at this level or
-        deeper; cached until another is found."""
-        cached = self._orbit_cache.get(level)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        gens = self._level_generators(level)
-        orbit_id = [-1] * self.n
-        for x in range(self.n):
-            if orbit_id[x] != -1:
-                continue
-            orbit_id[x] = x
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in gens:
-                    z = g[y]
-                    if orbit_id[z] == -1:
-                        orbit_id[z] = x
-                        stack.append(z)
-        self._orbit_cache[level] = (self._version, orbit_id)
-        return orbit_id
+    def _merge(self, f: tuple) -> None:
+        """Join the classes of x and f(x) for every x that f moves."""
+        for x, y in enumerate(f):
+            if x != y:
+                rx, ry = self._root(x), self._root(y)
+                self.parent[max(rx, ry)] = min(rx, ry)
 
     def run(self) -> list:
         """Search, then return the stabilizer chain levels of the stabilizer
@@ -206,7 +182,7 @@ class _StabilizerSearch:
         """{pt: (u, u^-1)} over the orbit of base[level], by breadth-first
         search under the automorphisms found at this level or deeper."""
         b = self.base[level]
-        gens = self._level_generators(level)
+        gens = [g for found in self.found[level:] for g in found]
         e = identity(self.n)
         trans = {b: (e, e)}
         queue = [b]
@@ -236,31 +212,29 @@ class _StabilizerSearch:
         b = self.base[level]
         self._descend_on_path(level + 1, self.p_seq[level + 1])
 
-        candidates = sorted(int(v) for v in cells[ci] if v != b)
-        processed = {b}
-        for v in candidates:
-            orbit = self._prefix_orbits(level)
-            if any(orbit[v] == orbit[w] for w in processed):
-                processed.add(v)
+        # Every deeper level is finished and none above has started, so
+        # found[:level] is empty and the union-find holds the orbits of
+        # found[level:].  Those fix base[:level], so they map this cell onto
+        # itself.  b is the least point of the cell and the candidates go
+        # up from it, so v's orbit meets a point tried or skipped before v
+        # iff its least point, the root, is not v.
+        for v in sorted(int(v) for v in cells[ci] if v != b):
+            if self._root(v) != v:
                 continue
             self._tick(level)
             q2 = self._refine(self._individualize(cells, ci, v))
-            f = None
             if tuple(len(c) for c in q2) == self.p_shapes[level + 1]:
                 f = self._descend_off_path(level + 1, q2)
-            if f is not None:
-                self.found[level].append(f)
-                self._version += 1
-            processed.add(v)
+                if f is not None:
+                    self.found[level].append(f)
+                    self._merge(f)
 
     def _aligned_map(self, level: int, cells) -> tuple | None:
         """The map taking the first path's partition at this level onto
         cells position by position, if it preserves every color."""
         f = np.empty(self.n, dtype=np.int64)
         f[self.p_flat[level]] = np.concatenate(cells)
-        if np.array_equal(self.D[f][:, f], self.D):
-            return tuple(f.tolist())
-        return None
+        return tuple(f.tolist()) if _preserves_colors(self.D, f) else None
 
     def _descend_off_path(self, level: int, cells):
         """The first automorphism, in depth-first candidate order, among
@@ -303,18 +277,11 @@ def _aut_group_cached(ring: SRing, node_budget: int) -> PermGroup:
         # A scheme with at most one off-diagonal color is preserved by every
         # permutation, so Aut = Sym(n) exactly.
         return _chain_group(symmetric_chain(n))
-    scheme = cayley_scheme(ring)
-    group = _chain_group(translation_chain(n, _StabilizerSearch(scheme, node_budget).run()))
-    _verify_color_preserving(scheme, group.generators)
+    search = _StabilizerSearch(ring, node_budget)
+    group = _chain_group(translation_chain(n, search.run()))
+    if not all(_preserves_colors(search.D, g) for g in group.generators):
+        raise AssertionError("search returned a non-automorphism; internal error")
     return group
-
-
-def _verify_color_preserving(scheme: CayleyScheme, gens) -> None:
-    D = scheme.color_matrix
-    for g in gens:
-        f = np.fromiter(g, dtype=np.int64, count=scheme.n)
-        if not np.array_equal(D[f][:, f], D):
-            raise AssertionError("search returned a non-automorphism; internal error")
 
 
 def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
@@ -331,17 +298,10 @@ def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
     return _aut_group_cached(ring, node_budget)
 
 
-def stabilizer0_generators(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
-                           node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
-    """Generators of the stabilizer of 0 in Aut(ring): those of level 1 of
-    its chain, whose base starts at 0."""
-    group = aut_group(ring, max_n=max_n, node_budget=node_budget)
-    return tuple(group.chain.level_generators(1))
-
-
 def stabilizer0_orbits(ring: SRing, **kwargs) -> tuple[tuple[int, ...], ...]:
-    """Orbits on Z_n of the stabilizer of 0 in Aut(ring), canonical form."""
-    gens = stabilizer0_generators(ring, **kwargs)
+    """Orbits on Z_n of the stabilizer of 0 in Aut(ring), canonical form:
+    those of level 1 of its chain, whose base starts at 0."""
+    gens = aut_group(ring, **kwargs).chain.level_generators(1)
     return tuple(tuple(orbit) for orbit in orbits(ring.n, gens))
 
 

@@ -59,14 +59,6 @@ class SRing:
                 idx[x] = i
         return tuple(idx)
 
-    @cached_property
-    def cell_masks(self) -> tuple[int, ...]:
-        """Each cell as a bitmask, for fast set arithmetic."""
-        return tuple(sum(1 << x for x in cell) for cell in self.cells)
-
-    def cell_containing(self, x: int) -> tuple[int, ...]:
-        return self.cells[self.cell_of[x % self.n]]
-
     def refines(self, other: "SRing") -> bool:
         """True if every cell of self lies inside a cell of other (self >= other)."""
         if self.n != other.n:
@@ -78,13 +70,24 @@ class SRing:
 
     @staticmethod
     def from_json(text: str, n: int | None = None) -> "SRing":
-        data = json.loads(text)
+        """The ring {"n": int, "basic_sets": [[int, ...], ...]}, validated;
+        n is the modulus when the JSON has none.  Raises DomainError for
+        anything else."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"malformed JSON at position {exc.pos}: {exc.msg}") from exc
+        cells = data.get("basic_sets") if isinstance(data, dict) else None
+        if not isinstance(cells, list) or not all(
+                isinstance(c, list) and all(type(x) is int for x in c) for c in cells):
+            raise DomainError("ring JSON must be an object whose 'basic_sets' is "
+                              "a list of lists of integers")
         modulus = data.get("n", n)
         if modulus is None:
             raise DomainError("ring JSON carries no modulus and none was supplied")
         if n is not None and "n" in data and data["n"] != n:
             raise DomainError(f"modulus mismatch: JSON says {data['n']}, flag says {n}")
-        return validate(modulus, data["basic_sets"])
+        return validate(modulus, cells)
 
     def __repr__(self) -> str:
         return f"SRing(n={self.n}, rank={self.rank})"

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 from .perm import (
-    INDUCED_TABLE_LIMIT,
     Perm,
     PermGroup,
     groups_equal,
@@ -250,8 +249,7 @@ def gwr_for_class(ring: SRing, cl: ProjClass, m_group: PermGroup) -> PermGroup:
     return gwr_group(ring.n, GwrSpec(cl.s_min, cl.s_max, m_group))
 
 
-def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section, *,
-                  table_limit: int = INDUCED_TABLE_LIMIT) -> PermGroup:
+def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
     """Canonical generalized wreath product of d_u (on Z_u, containing its
     translations) by d_0 (on Z_{n/l}, containing its translations), for the
     section U/L of Z_n.  Requires the two induced actions on S = U/L to
@@ -275,7 +273,7 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section, *,
             "induced section actions differ: orders "
             f"{ind_u.order()} vs {ind_0.order()}")
 
-    table = induced_action_table(d_u, Section(u, u, l), table_limit)
+    table = induced_action_table(d_u, Section(u, u, l))
     gens: list[Perm] = []
 
     # kernel part: the L-coset kernel of d_u, copied onto every U-coset

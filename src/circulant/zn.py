@@ -71,8 +71,7 @@ class Section:
     """The section U/L of Z_n with |U| = u and |L| = l, where l | u | n.
 
     The section group is identified with Z_{u/l}: an element g of U (a
-    multiple of n/u) projects to (g / (n/u)) mod (u/l), and class c lifts
-    canonically to c * (n/u).
+    multiple of n/u) projects to (g / (n/u)) mod (u/l).
     """
 
     n: int
@@ -94,18 +93,11 @@ class Section:
         return g % (self.n // self.u) == 0
 
     def project(self, g: int) -> int:
+        """Project an element of U to Z_{u/l}; a surjective homomorphism
+        with kernel L."""
         if not self.contains(g % self.n):
             raise DomainError(f"{g} is not in the subgroup of order {self.u} of Z_{self.n}")
         return ((g % self.n) // (self.n // self.u)) % self.order
-
-    def lift(self, c: int) -> int:
-        """Canonical preimage of class c: the least element of U in that class."""
-        return (c % self.order) * (self.n // self.u)
-
-
-def section_project(sec: Section, g: int) -> int:
-    """Project an element of U to Z_{u/l}; a surjective homomorphism with kernel L."""
-    return sec.project(g)
 
 
 def is_multiple(t: Section, s: Section) -> bool:

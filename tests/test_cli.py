@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from circulant import cyclotomic
 from circulant.cli import main
@@ -117,3 +120,55 @@ def test_modulus_mismatch(capsys):
                            "--ring", '{"n":4,"basic_sets":[[0],[1,3],[2]]}')
     assert code == 1
     assert "mismatch" in json.loads(err)["error"]
+
+
+Z3 = '{"n":3,"basic_sets":[[0],[1,2]]}'
+Z8_RING = '{"basic_sets":[[0],[1,3],[2,6],[4],[5,7]]}'
+Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n", "3", "--ring", "[1]"],
+    ["validate", "--n", "3", "--ring", '{"cells":[[0],[1,2]]}'],
+    ["validate", "--n", "3", "--ring", '{"basic_sets":[[0],["a"]]}'],
+    ["construct", "--kind", "tensor", "--n", "6", "--left", "{bad", "--right", Z3],
+    ["construct", "--kind", "gwp", "--n", "9", "--u", "3", "--left", Z3, "--right", Z3],
+    ["sweep", "--ns", "8,x"],
+    ["example12", "--phi", "3"],
+    ["validate", "--in", "no-such-ring.json"],
+], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
+        "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file"])
+def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
+# sha256 prefixes of the stdout of the README's CLI examples, in README
+# order with an `aut` call second; `sweep` runs with --jobs 1, whose output
+# is the same as with --jobs 2
+PINNED_OUTPUT = [
+    (["schurity", "--n", "8", "--ring", Z8_RING], "3d2b7f7c7a1291ad"),
+    (["aut", "--n", "8", "--ring", Z8_RING], "e8b7ecb2f50f2164"),
+    (["analyze", "--n", "9", "--ring", Z9_RING], "0e09d36c038b7355"),
+    (["construct", "--kind", "gwp", "--n", "9", "--u", "3", "--l", "3",
+      "--left", Z3, "--right", Z3], "07f2bcdd79ed1b46"),
+    (["enumerate", "--n", "16"], "823771c3d3ef68c8"),
+    (["sweep", "--ns", "16,24,36", "--jobs", "1"], "f89305a58f8609d2"),
+    (["resolve", "--n", "9", "--ring", Z9_RING], "433685bd9aff8d60"),
+    (["nonschurity", "--n", "9", "--u", "3", "--l", "3", "--ring", Z9_RING],
+     "1ff51b2d94db9ab5"),
+    (["example12", "--p", "5", "--p3", "11", "--p4", "13", "--d", "4"],
+     "40d2ce643e018fc8"),
+    (["example12", "--equal"], "382348b6b8295e27"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT,
+                         ids=[f"{argv[0]}-{digest}" for argv, digest in PINNED_OUTPUT])
+def test_readme_examples_print_pinned_output(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

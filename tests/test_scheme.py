@@ -12,7 +12,6 @@ from circulant import (
     Section,
     aut_group,
     brute_force_srings,
-    cayley_scheme,
     cyclotomic,
     enumerate_srings,
     group_ring,
@@ -27,7 +26,12 @@ from circulant import (
     induced_on_section,
 )
 from circulant.perm import PermGroup, groups_equal, is_identity, mult, symmetric
-from circulant.scheme import DEFAULT_NODE_BUDGET, _StabilizerSearch, _aut_group_cached
+from circulant.scheme import (
+    DEFAULT_NODE_BUDGET,
+    _StabilizerSearch,
+    _aut_group_cached,
+    color_matrix,
+)
 from circulant.sring import SRing
 from circulant.structure import canonical_gwp
 
@@ -66,14 +70,13 @@ class _FullDescentSearch(_StabilizerSearch):
 
 
 def run_search(cls, ring):
-    search = cls(cayley_scheme(ring), DEFAULT_NODE_BUDGET)
+    search = cls(ring, DEFAULT_NODE_BUDGET)
     search.run()
     return search
 
 
 def brute_force_aut_order(ring):
-    scheme = cayley_scheme(ring)
-    D = scheme.color_matrix
+    D = color_matrix(ring)
     count = 0
     for p in itertools.permutations(range(ring.n)):
         f = np.array(p)
@@ -83,17 +86,17 @@ def brute_force_aut_order(ring):
 
 
 def test_cayley_scheme_colors(z9_fixture):
-    scheme = cayley_scheme(group_ring(5))
-    assert scheme.ncolors == 5
-    assert scheme.color_of_pair(2, 4) == group_ring(5).cell_of[2]
-    s9 = cayley_scheme(z9_fixture)
-    assert s9.ncolors == 3
-    row = [s9.color_of_pair(4, h) for h in range(9)]
+    D5 = color_matrix(group_ring(5))
+    assert len(np.unique(D5)) == 5
+    assert D5[2, 4] == group_ring(5).cell_of[2]
+    D9 = color_matrix(z9_fixture)
+    assert len(np.unique(D9)) == 3
+    row = D9[4].tolist()
     assert sorted(np.bincount(row)) == [1, 2, 6]
     # translation invariance
     for g in range(9):
         for h in range(9):
-            assert s9.color_of_pair(g, h) == s9.color_of_pair(0, (h - g) % 9)
+            assert D9[g, h] == D9[0, (h - g) % 9]
 
 
 def test_aut_group_brute_force_oracle():
@@ -195,8 +198,7 @@ def test_nonschurity_criterion_fixture(z9_fixture):
 def test_aut_output_is_verified(z9_fixture):
     # every returned generator preserves every color
     for ring in [z9_fixture, cyclotomic(16, (7,)), cyclotomic(15, (2,))]:
-        scheme = cayley_scheme(ring)
-        D = scheme.color_matrix
+        D = color_matrix(ring)
         for g in aut_group(ring).generators:
             f = np.fromiter(g, dtype=np.int64)
             assert np.array_equal(D[f][:, f], D)

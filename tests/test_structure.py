@@ -28,7 +28,7 @@ from circulant import (
     canonical_gwp,
 )
 from circulant.perm import groups_equal, kernel_on_blocks
-from circulant.scheme import cayley_scheme
+from circulant.scheme import color_matrix
 import numpy as np
 
 
@@ -211,7 +211,7 @@ def test_gwr_group_preserves_all_colors(z9_fixture):
              generalized_wreath(cyclotomic(20, (3,)), cyclotomic(10, (3,)),
                                 Section(40, 20, 4))]
     for ring in rings:
-        D = cayley_scheme(ring).color_matrix
+        D = color_matrix(ring)
         for cl in proj_classes(ring):
             if not cl.isolated or cl.order <= 1:
                 continue

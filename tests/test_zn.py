@@ -9,7 +9,6 @@ from circulant.zn import (
     is_prime,
     multiplicative_closure,
     multiplicative_order,
-    section_project,
     unit_group,
 )
 
@@ -23,11 +22,11 @@ def test_subgroup_elements_examples():
 
 
 def test_section_project_examples():
-    assert section_project(Section(8, 8, 2), 5) == 1
-    assert section_project(Section(8, 4, 1), 6) == 3
-    assert section_project(Section(9, 3, 1), 6) == 2
+    assert Section(8, 8, 2).project(5) == 1
+    assert Section(8, 4, 1).project(6) == 3
+    assert Section(9, 3, 1).project(6) == 2
     with pytest.raises(DomainError):
-        section_project(Section(8, 4, 1), 3)  # 3 not in the order-4 subgroup
+        Section(8, 4, 1).project(3)  # 3 not in the order-4 subgroup
 
 
 def test_is_multiple_examples():
