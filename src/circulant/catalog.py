@@ -6,11 +6,13 @@ The enumeration builds, per divisor m of n: all cyclotomic rings and the
 rank-2 ring as seeds, then closes under tensor products over coprime
 splittings and generalized wreath products over proper sections (1 < l,
 u < n).  Both closure operations consume only catalogs of smaller moduli,
-so one pass per modulus reaches the fixpoint; completeness rests on the
-radical dichotomy (a ring is either a proper generalized wreath product
-or a tensor product of a normal ring and rank-2 rings, and normal rings
-are cyclotomic) and is certified against the brute-force oracle for
-n <= 13.
+so one pass per modulus reaches the fixpoint.  Products are built as
+partitions and validated only when their canonical ring is new: an equal
+partition is the same ring, already validated.  Completeness rests on
+the radical dichotomy (a ring is either a proper generalized wreath
+product or a tensor product of a normal ring and rank-2 rings, and
+normal rings are cyclotomic) and is certified against the brute-force
+oracle for n <= 13.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ from .errors import BudgetError, DomainError
 from .scheme import is_normal, is_schurian
 from .sring import (
     SRing,
+    canonical_partition,
     classify,
     cyclotomic,
     generalized_wreath,
+    generalized_wreath_partition,
     group_ring,
     rank2,
     section_ring,
     subgroup_lattice,
-    tensor,
+    tensor_partition,
     validate,
 )
 from .zn import (
@@ -107,6 +111,12 @@ def _enumerate_cached(n: int) -> Catalog:
         if ring not in found:
             found[ring] = how
 
+    def add_partition(cells, how: str) -> None:
+        # an equal partition in found is the same ring, already validated
+        cells = canonical_partition(cells)
+        if SRing(n, cells) not in found:
+            found[validate(n, cells)] = how
+
     for K in _unit_subgroups(n):
         add(cyclotomic(n, tuple(sorted(K))), f"seed:cyc({sorted(K)})")
     add(rank2(n), "seed:rank2")
@@ -117,7 +127,7 @@ def _enumerate_cached(n: int) -> Catalog:
             continue
         for i, left in enumerate(_enumerate_cached(a).entries):
             for j, right in enumerate(_enumerate_cached(b).entries):
-                add(tensor(left, right), f"tensor({a}#{i},{b}#{j})")
+                add_partition(tensor_partition(left, right), f"tensor({a}#{i},{b}#{j})")
 
     for u in divisors(n):
         if u == n:
@@ -142,8 +152,8 @@ def _enumerate_cached(n: int) -> Catalog:
                     continue
                 key = section_ring(left, Section(u, u, l))
                 for j, right in buckets.get(key, ()):
-                    add(generalized_wreath(left, right, sec),
-                        f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
+                    add_partition(generalized_wreath_partition(left, right, sec),
+                                  f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
 
     entries = sorted(found, key=lambda r: (r.rank, r.cells))
     return Catalog(n, tuple(entries), tuple(found[r] for r in entries))

@@ -1,8 +1,9 @@
 """Command-line front-end with JSON input/output.
 
-Exit codes: 0 success, 1 domain errors, 2 budget errors.  Group orders are
-serialized as decimal strings since they routinely exceed 64 bits.  Output
-is deterministic: keys are sorted and no timestamps are emitted.
+Exit codes: 0 success, 1 domain errors (usage errors among them), 2 budget
+errors.  Group orders are serialized as decimal strings since they
+routinely exceed 64 bits.  Output is deterministic: keys are sorted and no
+timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ def _load_ring(args) -> SRing:
 
 def _ints(flag: str, text: str, count: int | None = None) -> list[int]:
     """The comma-separated integers of a flag's value, exactly count (1 or
-    2) of them if given.  --ns, --phi and the construct flags are parsed
-    here rather than by argparse, whose usage errors exit with 2, the budget
-    code."""
+    2) of them if given (--ns, --phi and the construct flags)."""
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
@@ -269,8 +268,17 @@ def cmd_example12(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise DomainError, so they exit
+    with 1 and JSON like any other bad input, not with argparse's 2, the
+    budget code.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circulant",
         description="S-rings over cyclic groups: construction, schurity, enumeration")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -360,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.func(args)
     except DomainError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

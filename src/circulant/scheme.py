@@ -45,7 +45,7 @@ from .perm import (
     translation_chain,
     two_equivalent,
 )
-from .sring import SRing, classify, section_ring
+from .sring import SRing, classify, rolled_cells, section_ring
 from .zn import Section
 
 DEFAULT_AUT_MAX_N = 5000
@@ -55,11 +55,8 @@ DEFAULT_NODE_BUDGET = 500_000
 
 def color_matrix(ring: SRing) -> np.ndarray:
     """D[g, h] = index of the basic set containing h - g, as uint16."""
-    n = ring.n
-    cell_of = np.fromiter(ring.cell_of, dtype=np.uint16, count=n)
-    # row g is cell_of rolled right by g: windows n, n-1, ..., 1 of cell_of twice
-    twice = np.concatenate([cell_of, cell_of])
-    return np.lib.stride_tricks.sliding_window_view(twice, n)[n:0:-1].copy()
+    # row g is cell_of rolled right by g, which is rolled left by n - g
+    return rolled_cells(ring, np.uint16)[ring.n:0:-1].copy()
 
 
 def _preserves_colors(D: np.ndarray, f) -> bool:

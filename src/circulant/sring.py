@@ -3,9 +3,11 @@
 An S-ring is stored as its basic-set partition in canonical form: each
 cell sorted ascending, cells ordered by minimum element.  Canonical form
 defines equality and hashing, and every constructor canonicalizes on
-output.  The structure-constant axiom is checked by direct convolution
-counting, which is exact and adequate for the moduli handled here
-(n up to a few thousand).
+output.  The structure-constant axiom is checked exactly, a block of
+whole cells at a time: for every point z the multiset of cells of z - x,
+x in a cell X, must be the same as at the least point of z's cell, which
+compares the counts for X and every Y at once.  Each block is a few numpy
+calls on temporaries of a fixed size, whatever n or the cell sizes.
 """
 
 from __future__ import annotations
@@ -129,26 +131,103 @@ def validate(n: int, partition) -> SRing:
     return ring
 
 
+# entries of each temporary array of the structure-constant check (4 MB as int32)
+_CHECK_ENTRIES = 1 << 20
+
+
+def _points(ring: SRing) -> np.ndarray:
+    """The points of Z_n cell by cell, in canonical order."""
+    return np.fromiter((x for cell in ring.cells for x in cell), dtype=np.int64, count=ring.n)
+
+
+def rolled_cells(ring: SRing, dtype) -> np.ndarray:
+    """Read-only view with row k, 0 <= k <= n, equal to cell_of rolled left
+    by k: rolled[k][z] is the index of the basic set containing z + k."""
+    n = ring.n
+    cell_of = np.empty(2 * n, dtype=dtype)
+    cell_of[_points(ring)] = np.repeat(np.arange(ring.rank, dtype=dtype),
+                                       [len(cell) for cell in ring.cells])
+    cell_of[n:] = cell_of[:n]
+    return np.lib.stride_tricks.sliding_window_view(cell_of, n)
+
+
+def _cell_blocks(ring: SRing):
+    """(lo, hi) runs of consecutive cells whose points times n fit in
+    _CHECK_ENTRIES; a cell too large for that is a run of its own."""
+    n, lo = ring.n, 0
+    while lo < ring.rank:
+        hi, rows = lo + 1, len(ring.cells[lo])
+        while hi < ring.rank and (rows + len(ring.cells[hi])) * n <= _CHECK_ENTRIES:
+            rows += len(ring.cells[hi])
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
 def _check_structure_constants(ring: SRing) -> None:
     """For all cells X, Y the count of (x, y) in X x Y with x + y = z must
-    be constant as z ranges over any one cell."""
+    be constant as z ranges over any one cell.
+
+    That count is the multiplicity of Y among the cells of z - x, x in X.
+    So for a block of whole cells X, column z of the rows rolled[n - x]
+    (x in X, each tagged with X's place in the block) sorts to the same
+    column as the least point of z's cell exactly when every count with
+    such an X is constant on z's cell.  Columns are taken in chunks when
+    one cell alone fills a block.  On failure the counts are recomputed
+    for the least failing X, which is the first cell the pairwise check
+    in order (X, Y) with X <= Y would reject, since c_XY = c_YX.
+    """
+    n, rank = ring.n, ring.rank
+    # a tagged entry is below rank * rank; int16 sorts faster where it fits
+    dtype = np.int16 if rank * rank <= 1 << 15 else np.int32
+    window = rolled_cells(ring, dtype)
+    first = np.array([cell[0] for cell in ring.cells], dtype=np.int64)
+    ref = first[window[0]]
+    shifts = n - _points(ring)
+    end = 0
+    for lo, hi in _cell_blocks(ring):
+        sizes = [len(cell) for cell in ring.cells[lo:hi]]
+        block, end = shifts[end:end + sum(sizes)], end + sum(sizes)
+        tags = np.repeat(np.arange(hi - lo, dtype=dtype) * rank, sizes)[:, None]
+        whole = len(block) * n <= _CHECK_ENTRIES
+        step = n if whole else max(1, _CHECK_ENTRIES // (2 * len(block)))
+        for start in range(0, n, step):
+            refs = ref[start:start + step]
+            # the columns start.. after the reference columns left of them
+            need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
+                                   np.arange(start, start + len(refs))])
+            rows = window[block] if whole else window[np.ix_(block, need)]
+            rows += tags
+            rows.sort(axis=0)
+            bad = rows[:, len(need) - len(refs):] != rows[:, np.searchsorted(need, refs)]
+            if bad.any():
+                r = int(np.argmax(bad.any(axis=1)))
+                _raise_first_failure(ring, lo + int(rows[r, -1]) // rank)
+
+
+def _raise_first_failure(ring: SRing, i: int) -> None:
+    """Raise the DomainError for the first cell Y >= X = cell i whose
+    counts c_XY are not constant on some cell, naming the least such z."""
     n = ring.n
     cell_id = np.fromiter(ring.cell_of, dtype=np.int64, count=n)
     first = np.array([cell[0] for cell in ring.cells], dtype=np.int64)
-    arrays = [np.array(cell, dtype=np.int64) for cell in ring.cells]
-    for i, X in enumerate(arrays):
-        for j in range(i, len(arrays)):
-            Y = arrays[j]
-            counts = np.bincount((X[:, None] + Y[None, :]).ravel() % n, minlength=n)
-            expected = counts[first][cell_id]
-            if not np.array_equal(counts, expected):
-                z = int(np.nonzero(counts != expected)[0][0])
-                k = ring.cell_of[z]
-                raise DomainError(
-                    "structure constants not constant on cell "
-                    f"(X=cell{i}, Y=cell{j}, cell{k}): z={z} gets {int(counts[z])}, "
-                    f"z={int(first[k])} gets {int(counts[first[k]])}"
-                )
+    X = np.array(ring.cells[i], dtype=np.int64)
+    for j in range(i, ring.rank):
+        Y = np.array(ring.cells[j], dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
+        step = max(1, _CHECK_ENTRIES // len(Y))
+        for s in range(0, len(X), step):
+            counts += np.bincount(((X[s:s + step, None] + Y) % n).ravel(), minlength=n)
+        expected = counts[first][cell_id]
+        if not np.array_equal(counts, expected):
+            z = int(np.nonzero(counts != expected)[0][0])
+            k = ring.cell_of[z]
+            raise DomainError(
+                "structure constants not constant on cell "
+                f"(X=cell{i}, Y=cell{j}, cell{k}): z={z} gets {int(counts[z])}, "
+                f"z={int(first[k])} gets {int(counts[first[k]])}"
+            )
+    raise AssertionError(f"cell{i} fails the sorted check but no pair count differs")
 
 
 def group_ring(n: int) -> SRing:
@@ -184,13 +263,15 @@ def tensor(a1: SRing, a2: SRing) -> SRing:
     n1, n2 = a1.n, a2.n
     if gcd(n1, n2) != 1:
         raise DomainError(f"tensor factors must have coprime moduli, got {n1}, {n2}")
-    n = n1 * n2
-    e1, e2 = crt_idempotents(n1, n2)
-    cells = []
-    for X1 in a1.cells:
-        for X2 in a2.cells:
-            cells.append(tuple(sorted((x1 * e1 + x2 * e2) % n for x1 in X1 for x2 in X2)))
-    return validate(n, cells)
+    return validate(n1 * n2, tensor_partition(a1, a2))
+
+
+def tensor_partition(a1: SRing, a2: SRing) -> list[tuple[int, ...]]:
+    """The basic sets of tensor(a1, a2), neither checked nor canonical."""
+    n = a1.n * a2.n
+    e1, e2 = crt_idempotents(a1.n, a2.n)
+    return [tuple((x1 * e1 + x2 * e2) % n for x1 in X1 for x2 in X2)
+            for X1 in a1.cells for X2 in a2.cells]
 
 
 def section_ring(ring: SRing, sec: Section) -> SRing:
@@ -252,15 +333,22 @@ def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:
             "section rings differ on U/L: "
             f"restriction of left factor gives {s1.cells}, of right factor {s2.cells}")
 
+    return validate(n, generalized_wreath_partition(a1, a2, sec))
+
+
+def generalized_wreath_partition(a1: SRing, a2: SRing, sec: Section) -> list[tuple[int, ...]]:
+    """The basic sets of generalized_wreath(a1, a2, sec), neither checked
+    nor canonical: the image of a1's cells in U, then the preimage mod L of
+    each cell of a2 outside U/L."""
+    n, u, l = sec.n, sec.u, sec.l
     scale = n // u
-    cells = [tuple(sorted(x * scale % n for x in cell)) for cell in a1.cells]
+    cells = [tuple(x * scale % n for x in cell) for cell in a1.cells]
     step = n // l  # generator of L inside Z_n
     for cell in a2.cells:
-        if cell[0] % (n // u) == 0 and all(x % (n // u) == 0 for x in cell):
+        if all(x % scale == 0 for x in cell):
             continue  # inside the image of U; covered by a1
-        preimage = sorted((x + k * (n // l)) % n for x in cell for k in range(l))
-        cells.append(tuple(preimage))
-    return validate(n, cells)
+        cells.append(tuple((x + k * step) % n for x in cell for k in range(l)))
+    return cells
 
 
 def wreath(a1: SRing, a2: SRing, n: int) -> SRing:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from circulant import (
@@ -130,3 +133,13 @@ def test_prime_catalog_is_cyclotomic():
         entries = set(enumerate_srings(p).entries)
         expected = {cyclotomic(p, tuple(sorted(k))) for k in _unit_subgroups(p)}
         assert entries == expected
+
+
+def test_catalogs_up_to_72_are_pinned():
+    # sha256 of (n, cells, provenance) for n = 1..72, recorded before the
+    # closure began to validate each distinct ring only once
+    digest = hashlib.sha256()
+    for n in range(1, 73):
+        cat = enumerate_srings(n)
+        digest.update(json.dumps([n, [r.cells for r in cat], list(cat.provenance)]).encode())
+    assert digest.hexdigest().startswith("12bf3462f2c9433c")

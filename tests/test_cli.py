@@ -146,6 +146,25 @@ def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, argv):
     assert set(json.loads(err)) == {"error"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n", "x", "--ring", '{"basic_sets":[[0]]}'],
+    ["construct", "--n", "3"],
+    ["validate", "--n", "4", "--ring", '{"basic_sets":[[0],[1,3],[2]]}', "--bogus"],
+], ids=["non-integer-n", "missing-required-flag", "unknown-flag"])
+def test_usage_error_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "usage: circulant validate" in capsys.readouterr().out
+
+
 # sha256 prefixes of the stdout of the README's CLI examples, in README
 # order with an `aut` call second; `sweep` runs with --jobs 1, whose output
 # is the same as with --jobs 2

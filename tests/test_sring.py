@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from circulant import (
     wreath,
 )
 from circulant.zn import divisors, multiplicative_closure, unit_group
-from circulant.sring import internal_product_partition
+from circulant.sring import canonical_partition, internal_product_partition
 
 
 def test_validate_examples():
@@ -34,6 +36,122 @@ def test_validate_examples():
         validate(4, [[0, 2], [1, 3]])
     with pytest.raises(DomainError, match="structure constants"):
         validate(8, [[0], [1, 7], [2, 3, 5, 6], [4]])
+
+
+def pairwise_check(n, partition):
+    """Oracle for the structure-constant check: one bincount per pair of
+    cells (X, Y), X <= Y in canonical order.  The DomainError message
+    validate raises for the partition, or None if it is an S-ring; the
+    other axioms must hold."""
+    cells = canonical_partition(partition)
+    cell_id = np.zeros(n, dtype=np.int64)
+    for k, cell in enumerate(cells):
+        cell_id[list(cell)] = k
+    first = np.array([cell[0] for cell in cells], dtype=np.int64)
+    arrays = [np.array(cell, dtype=np.int64) for cell in cells]
+    for i, X in enumerate(arrays):
+        for j in range(i, len(arrays)):
+            counts = np.bincount((X[:, None] + arrays[j][None, :]).ravel() % n, minlength=n)
+            expected = counts[first][cell_id]
+            if not np.array_equal(counts, expected):
+                z = int(np.nonzero(counts != expected)[0][0])
+                k = int(cell_id[z])
+                return ("structure constants not constant on cell "
+                        f"(X=cell{i}, Y=cell{j}, cell{k}): z={z} gets {int(counts[z])}, "
+                        f"z={int(first[k])} gets {int(counts[first[k]])}")
+    return None
+
+
+def validate_message(n, partition):
+    try:
+        validate(n, partition)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def merged_cells(ring, rng, merges):
+    """The cells of ring with random pairs of non-identity cells merged,
+    and their negations merged alike, so the partition stays
+    inverse-closed and only the structure constants can fail."""
+    n = ring.n
+    parent = list(range(ring.rank))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    neg = [ring.cell_of[(-cell[0]) % n] for cell in ring.cells]
+    for _ in range(merges):
+        if ring.rank < 3:
+            break
+        i, j = rng.sample(range(1, ring.rank), 2)
+        parent[root(i)] = root(j)
+        parent[root(neg[i])] = root(neg[j])
+    groups = {}
+    for i, cell in enumerate(ring.cells):
+        groups.setdefault(root(i), []).extend(cell)
+    return list(groups.values())
+
+
+def test_structure_check_matches_pairwise_oracle_on_catalogs():
+    from circulant import enumerate_srings
+
+    rings = [ring for n in range(1, 49) for ring in enumerate_srings(n)]
+    for ring in rings:
+        assert pairwise_check(ring.n, ring.cells) is None
+        assert validate(ring.n, ring.cells) == ring
+    rng = random.Random(20)
+    invalid = 0
+    for _ in range(1200):
+        ring = rng.choice(rings)
+        cells = merged_cells(ring, rng, rng.randint(1, 2))
+        expected = pairwise_check(ring.n, cells)
+        assert validate_message(ring.n, cells) == expected, (ring.n, cells)
+        invalid += expected is not None
+    assert invalid >= 800
+
+
+@given(st.integers(min_value=1, max_value=30), st.randoms(use_true_random=False),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_structure_check_matches_pairwise_oracle(n, rng, merges):
+    from circulant import enumerate_srings
+
+    ring = rng.choice(enumerate_srings(n).entries)
+    cells = merged_cells(ring, rng, merges)
+    assert validate_message(n, cells) == pairwise_check(n, cells)
+
+
+def test_structure_check_matches_pairwise_oracle_on_large_rings():
+    # a cell of more than 2**20 / n points is checked a chunk of columns at
+    # a time, and a rank above 181 needs int32 entries
+    cells = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
+    expected = pairwise_check(200, cells)
+    assert expected is not None
+    assert validate_message(200, cells) == expected
+    squares = sorted({x * x % 2017 for x in range(1, 2017)})
+    cells = [[0], squares, sorted(set(range(1, 2017)) - set(squares))]
+    assert pairwise_check(2017, cells) is None
+    assert validate(2017, cells).rank == 3
+    cells = [[0], [5, 1196], [x for x in range(1, 1201) if x not in (5, 1196)]]
+    expected = pairwise_check(1201, cells)
+    assert expected is not None and "X=cell1" in expected
+    assert validate_message(1201, cells) == expected
+
+
+def test_validate_memory_is_bounded():
+    # no temporary grows with n or with cell size: a few MB at n in the thousands
+    partition = [[0], list(range(1, 3000))]
+    for build in (lambda: validate(3000, partition), lambda: cyclotomic(2000, (-1,))):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_validate_canonicalizes():
