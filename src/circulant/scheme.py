@@ -6,22 +6,26 @@ is the index of the basic set containing h - g.
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
 (the edge-color table is fixed; refinement is one-dimensional).  The
-search fixes a base on its first path and finishes each level before the
-one above it, so the automorphisms found at levels >= L generate the
-pointwise stabilizer of the first L base points: they are a strong
-generating set, and each level's transversal is one orbit computation
-away.  A union-find over Z_n, whose roots are least points, merges each
-automorphism as it is found; since every deeper level is finished before
-a level's candidates are tried, its classes are the orbits that prune
-those candidates.  Off the first path, each node first tests the
-map that aligns the first path's partition at its level with its own,
-cell by cell and position by position; refinement keeps cells ascending
-and splits them in place, so when that map is an automorphism it is the
-leaf the depth-first descent would reach first, and the descent is
-skipped.  Since the translations are always automorphisms and act
-regularly, the full group's stabilizer chain is that of the stabilizer
-of 0 below an implicit translation level, with no Schreier-Sims run; a
-ring of rank <= 2 gets the implicit chain of Sym(n).
+root partition is the basic sets, unrefined: for v in a basic set Z, the
+number of u in Y with u - v in X is the coefficient of v in Y X^-1, the
+same for every v in Z, so the basic sets are equitable and refinement
+would return them as they are.  The search fixes a base on its first
+path and finishes each level before the one above it, so the
+automorphisms found at levels >= L generate the pointwise stabilizer of
+the first L base points: they are a strong generating set, and each
+level's transversal is one orbit computation away.  A union-find over
+Z_n, whose roots are least points, merges each automorphism as it is
+found; since every deeper level is finished before a level's candidates
+are tried, its classes are the orbits that prune those candidates.  Off
+the first path, each node first tests the map that aligns the first
+path's partition at its level with its own, cell by cell and position by
+position; refinement keeps cells ascending and splits them in place, so
+when that map is an automorphism it is the leaf the depth-first descent
+would reach first, and the descent is skipped.  Since the translations
+are always automorphisms and act regularly, the full group's stabilizer
+chain is that of the stabilizer of 0 below an implicit translation
+level, with no Schreier-Sims run; a ring of rank <= 2 gets the implicit
+chain of Sym(n).
 """
 
 from __future__ import annotations
@@ -73,8 +77,10 @@ class _StabilizerSearch:
         self.D = color_matrix(ring)
         self.node_budget = node_budget
         self.nodes = 0
-        initial = [np.array(cell, dtype=np.int64) for cell in ring.cells]
-        self.p_seq = [self._refine(initial)]
+        self.ncolors = ring.rank
+        # the basic sets are equitable, so refinement would return them as
+        # they are
+        self.p_seq = [[np.array(cell, dtype=np.int64) for cell in ring.cells]]
         self.base: list[int] = []
         self.target_cells: list[int] = []
         while True:
@@ -82,7 +88,7 @@ class _StabilizerSearch:
             ci = self._target_cell(cells)
             if ci is None:
                 break
-            b = int(cells[ci].min())
+            b = int(cells[ci][0])
             self.base.append(b)
             self.target_cells.append(ci)
             self.p_seq.append(self._refine(self._individualize(cells, ci, b)))
@@ -97,12 +103,13 @@ class _StabilizerSearch:
 
     @staticmethod
     def _target_cell(cells) -> int | None:
-        """Smallest non-singleton cell, ties by minimum vertex."""
+        """Smallest non-singleton cell, ties by least vertex (cells are
+        ascending, so a cell's least vertex is its first)."""
         best = None
         for i, c in enumerate(cells):
             if len(c) == 1:
                 continue
-            key = (len(c), int(c.min()))
+            key = (len(c), int(c[0]))
             if best is None or key < best[0]:
                 best = (key, i)
         return None if best is None else best[1]
@@ -115,24 +122,39 @@ class _StabilizerSearch:
         out[ci: ci + 1] = [np.array([v], dtype=np.int64), rest]
         return out
 
+    def _key_dtype(self, C: int) -> np.dtype:
+        """The narrowest unsigned dtype of at least 16 bits holding every
+        key color * C + cell, up to ncolors * C - 1."""
+        return np.promote_types(np.uint16, np.min_scalar_type(self.ncolors * C - 1))
+
     def _refine(self, cells):
         """One-dimensional refinement against the edge-color table, stable
         under color-automorphisms cell-index-wise.
 
         The signature of a vertex v is the multiset of (edge color to u,
         cell of u) over all u, realized as the sorted row of combined
-        keys; cells split into the lexicographic order of signatures.
+        keys color * C + cell; cells split into the order of the
+        signatures' bytes.  The keys are built in place in the
+        `_key_dtype` of C: uint16 while ncolors * C <= 2**16, else uint32
+        (ncolors * C <= n**2 < 2**32 for n < 2**16).  Every key is
+        non-negative and fits, so a wider little-endian dtype would only
+        append zero bytes, equal in every key, to each entry: the byte
+        order of two rows, and so the order of the new cells, is the same
+        at any width.
         """
         n, D = self.n, self.D
         while True:
             C = len(cells)
             if C == n:
                 return cells
-            cell_id = np.empty(n, dtype=np.int64)
+            dt = self._key_dtype(C)
+            cell_id = np.empty(n, dtype=dt)
             for i, c in enumerate(cells):
                 cell_id[c] = i
             active = np.concatenate([c for c in cells if len(c) > 1])
-            keys = D[active].astype(np.int64) * C + cell_id[None, :]
+            keys = D[active].astype(dt, copy=False)
+            keys *= C
+            keys += cell_id
             keys.sort(axis=1)
             row_of = {int(v): i for i, v in enumerate(active)}
             new_cells = []
@@ -206,16 +228,16 @@ class _StabilizerSearch:
         if level == len(self.base):
             return
         ci = self.target_cells[level]
-        b = self.base[level]
         self._descend_on_path(level + 1, self.p_seq[level + 1])
 
         # Every deeper level is finished and none above has started, so
         # found[:level] is empty and the union-find holds the orbits of
         # found[level:].  Those fix base[:level], so they map this cell onto
-        # itself.  b is the least point of the cell and the candidates go
-        # up from it, so v's orbit meets a point tried or skipped before v
-        # iff its least point, the root, is not v.
-        for v in sorted(int(v) for v in cells[ci] if v != b):
+        # itself.  The cell is ascending, the base point is its first point
+        # and the candidates are the rest in order, so v's orbit meets a
+        # point tried or skipped before v iff its least point, the root, is
+        # not v.
+        for v in cells[ci][1:].tolist():
             if self._root(v) != v:
                 continue
             self._tick(level)
@@ -250,7 +272,7 @@ class _StabilizerSearch:
         if f is not None or level == len(self.base):
             return f
         ci = self.target_cells[level]
-        for v in sorted(cells[ci].tolist()):
+        for v in cells[ci].tolist():
             self._tick(level)
             q2 = self._refine(self._individualize(cells, ci, v))
             if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:

@@ -69,6 +69,67 @@ class _FullDescentSearch(_StabilizerSearch):
         return None
 
 
+class _Int64RefineSearch(_StabilizerSearch):
+    """Oracle: the search as it was before it took the basic sets as its
+    root partition and built narrow keys: the root is refined, and every
+    refinement builds int64 keys."""
+
+    def __init__(self, ring, node_budget):
+        self.n = ring.n
+        self.D = color_matrix(ring)
+        self.node_budget = node_budget
+        self.nodes = 0
+        initial = [np.array(cell, dtype=np.int64) for cell in ring.cells]
+        self.p_seq = [self._refine(initial)]
+        self.base = []
+        self.target_cells = []
+        while True:
+            cells = self.p_seq[-1]
+            ci = self._target_cell(cells)
+            if ci is None:
+                break
+            b = int(cells[ci].min())
+            self.base.append(b)
+            self.target_cells.append(ci)
+            self.p_seq.append(self._refine(self._individualize(cells, ci, b)))
+        self.p_shapes = [tuple(len(c) for c in p) for p in self.p_seq]
+        self.p_flat = [np.concatenate(p) for p in self.p_seq]
+        self.found = [[] for _ in self.base]
+        self.parent = list(range(self.n))
+
+    def _refine(self, cells):
+        n, D = self.n, self.D
+        while True:
+            C = len(cells)
+            if C == n:
+                return cells
+            cell_id = np.empty(n, dtype=np.int64)
+            for i, c in enumerate(cells):
+                cell_id[c] = i
+            active = np.concatenate([c for c in cells if len(c) > 1])
+            keys = D[active].astype(np.int64) * C + cell_id[None, :]
+            keys.sort(axis=1)
+            row_of = {int(v): i for i, v in enumerate(active)}
+            new_cells = []
+            changed = False
+            for c in cells:
+                if len(c) == 1:
+                    new_cells.append(c)
+                    continue
+                buckets = {}
+                for v in c.tolist():
+                    buckets.setdefault(keys[row_of[v]].tobytes(), []).append(v)
+                if len(buckets) == 1:
+                    new_cells.append(c)
+                    continue
+                changed = True
+                for key in sorted(buckets):
+                    new_cells.append(np.array(buckets[key], dtype=np.int64))
+            if not changed:
+                return new_cells
+            cells = new_cells
+
+
 def run_search(cls, ring):
     search = cls(ring, DEFAULT_NODE_BUDGET)
     search.run()
@@ -287,3 +348,69 @@ def test_budget_error_says_how_far_the_search_got():
     with pytest.raises(BudgetError, match=r"after 2 nodes, at level 2 of base length 4, "
                                           r"automorphisms found: 1$"):
         aut_group(cyclotomic(35, (2,)), node_budget=1)
+
+
+def catalog_rings(max_n):
+    return [ring for n in range(1, max_n + 1) for ring in enumerate_srings(n)]
+
+
+def plus_minus_one_ring(n):
+    """Cyc({+-1}, Z_n) for even n, built with the raw constructor."""
+    cells = [(0,)] + [(x, n - x) for x in range(1, n // 2)] + [(n // 2,)]
+    return SRing(n, tuple(cells))
+
+
+def test_refinement_leaves_the_basic_sets_as_they_are():
+    """The basic sets are an equitable partition, so the search takes them
+    as its root partition without refining them."""
+    for ring in catalog_rings(30):
+        search = _StabilizerSearch(ring, DEFAULT_NODE_BUDGET)
+        root = [np.array(cell, dtype=np.int64) for cell in ring.cells]
+        assert [c.tolist() for c in search._refine(root)] == [list(c) for c in ring.cells]
+
+
+def test_search_matches_the_int64_refinement():
+    """Narrow keys and the unrefined root give the oracle's search node for
+    node: the same partitions, base, generators and node count.  Every
+    cell of the first path is strictly ascending."""
+
+    class Recording(_StabilizerSearch):
+        def __init__(self, ring, node_budget):
+            self.widths = set()
+            super().__init__(ring, node_budget)
+
+        def _key_dtype(self, C):
+            dt = super()._key_dtype(C)
+            self.widths.add(dt.name)
+            return dt
+
+    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
+    assert len(rings) == 718
+    assert plus_minus_one_ring(200) == cyclotomic(200, (-1,))
+    widths = {}
+    for ring in rings + [plus_minus_one_ring(200), plus_minus_one_ring(600)]:
+        search = run_search(Recording, ring)
+        oracle = run_search(_Int64RefineSearch, ring)
+        assert search.base == oracle.base, ring.cells
+        assert search.p_shapes == oracle.p_shapes, ring.cells
+        assert search.found == oracle.found, ring.cells
+        assert search.nodes == oracle.nodes, ring.cells
+        for p in search.p_seq:
+            assert all(np.all(np.diff(c) > 0) for c in p), ring.cells
+        widths[ring.n] = search.widths
+    assert widths[200] == {"uint16"}
+    # 301 colors times 302 cells after the first individualization > 2**16
+    assert widths[600] == {"uint32"}
+
+
+def test_aut_memory_is_bounded():
+    n = 2000
+    ring = plus_minus_one_ring(n)
+    _aut_group_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert aut_group(ring).order() == 2 * n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n
