@@ -7,7 +7,8 @@ supports membership sifting; a base prefix can be prescribed, which is
 how block-kernel and prefix-stabilizer computations are realized.  A
 chain known by construction is assembled from its levels instead
 (``translation_chain``, ``symmetric_chain``); its translation and
-transposition levels are made on demand rather than stored.
+transposition levels, and the Schreier trees of other levels, make their
+representatives on demand rather than store them.
 
 Point orbits and orbits on ordered pairs are the connected components of
 a graph whose edges the generators give, found by one numpy routine: min
@@ -129,6 +130,50 @@ class _Transpositions(Mapping):
         if n - b == 2:
             return [swap]
         return [swap, tuple(range(b)) + tuple(range(b + 1, n)) + (b,)]
+
+
+class SchreierTree(Mapping):
+    """Transversal {pt: (u, u^-1)} of the orbit of b under the generators,
+    stored as the breadth-first tree pt -> (parent, generator index): a
+    Schreier vector (Seress, Permutation Group Algorithms, 2003, sec. 4.1).
+    u is the product of the generators on the tree path from b to pt, made
+    when pt is looked up, so the tree holds O(orbit) entries, not a dense
+    pair per point.  Points are in breadth-first order, generators in
+    their given order at each point."""
+
+    def __init__(self, degree: int, b: int, generators):
+        self.degree = degree
+        self.generators = list(generators)
+        tree: dict[int, tuple[int, int] | None] = {b: None}
+        queue = [b]
+        for pt in queue:
+            for gi, g in enumerate(self.generators):
+                img = g[pt]
+                if img not in tree:
+                    tree[img] = (pt, gi)
+                    queue.append(img)
+        self._tree = tree
+
+    def __getitem__(self, pt: int) -> tuple[Perm, Perm]:
+        edge = self._tree[pt]
+        path = []
+        while edge is not None:
+            parent, gi = edge
+            path.append(self.generators[gi])
+            edge = self._tree[parent]
+        u = identity(self.degree)
+        for g in reversed(path):
+            u = mult(u, g)
+        return u, inverse(u)
+
+    def __contains__(self, pt) -> bool:
+        return pt in self._tree
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+    def __iter__(self):
+        return iter(self._tree)
 
 
 class StabChain:
@@ -295,14 +340,17 @@ class StabChain:
                 return
 
     def elements(self):
-        """Iterate all group elements (use only when the order is small)."""
+        """Iterate all group elements (use only when the order is small).
+        Each level's representatives are read once per call, since a level
+        made on demand builds them anew on every read."""
+        reps = [[u for u, _ in trans.values()] for trans in self.transversals]
 
         def rec(level):
             if level == len(self.base):
                 yield identity(self.degree)
                 return
             for sub in rec(level + 1):
-                for u, _ in self.transversals[level].values():
+                for u in reps[level]:
                     yield mult(sub, u)
 
         yield from rec(0)

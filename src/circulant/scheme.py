@@ -1,7 +1,11 @@
 """Automorphism groups of the Cayley schemes of S-rings.
 
-The scheme is read from the ring as its color matrix: the color of (g, h)
-is the index of the basic set containing h - g.
+The color of (g, h) in the scheme is the index of the basic set
+containing h - g.  Row g of that n x n table is the ring's cell-id row
+rolled by g, so the search reads rows from one view of 2n cell ids
+(``sring.rolled_cells``) and never builds the table: refinement makes its
+keys, and the color check of a map its rows, a block of at most
+``_BLOCK_ENTRIES`` entries at a time.
 
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
@@ -13,7 +17,8 @@ would return them as they are.  The search fixes a base on its first
 path and finishes each level before the one above it, so the
 automorphisms found at levels >= L generate the pointwise stabilizer of
 the first L base points: they are a strong generating set, and each
-level's transversal is one orbit computation away.  A union-find over
+level's transversal is the Schreier tree of one orbit computation, which
+makes a representative when it is looked up.  A union-find over
 Z_n, whose roots are least points, merges each automorphism as it is
 found; since every deeper level is finished before a level's candidates
 are tried, its classes are the orbits that prune those candidates.  Off
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .perm import (
     PermGroup,
-    identity,
+    SchreierTree,
     induced_on_section,
     intersect,
     inverse,
@@ -55,6 +60,9 @@ from .zn import Section
 DEFAULT_AUT_MAX_N = 5000
 DEFAULT_SCHURITY_MAX_N = 1000
 DEFAULT_NODE_BUDGET = 500_000
+# entries in one block of rows of the search's key and color temporaries,
+# so that none grows with the square of n
+_BLOCK_ENTRIES = 1 << 18
 
 
 def color_matrix(ring: SRing) -> np.ndarray:
@@ -63,9 +71,22 @@ def color_matrix(ring: SRing) -> np.ndarray:
     return rolled_cells(ring, np.uint16)[ring.n:0:-1].copy()
 
 
-def _preserves_colors(D: np.ndarray, f) -> bool:
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def _preserves_colors(rolled: np.ndarray, f) -> bool:
+    """Whether f preserves every color, checked a block of rows G of the
+    color table at a time: row g is rolled[n - g], so D[f][:, f] has rows
+    G equal to rolled[n - f[G]][:, f]."""
+    n = len(f)
     f = np.asarray(f, dtype=np.int64)
-    return np.array_equal(D[f][:, f], D)
+    step = _block_rows(n)
+    for g0 in range(0, n, step):
+        g1 = min(g0 + step, n)
+        if not np.array_equal(rolled[n - f[g0:g1]][:, f], rolled[n - g0:n - g1:-1]):
+            return False
+    return True
 
 
 class _StabilizerSearch:
@@ -74,7 +95,11 @@ class _StabilizerSearch:
 
     def __init__(self, ring: SRing, node_budget: int):
         self.n = ring.n
-        self.D = color_matrix(ring)
+        # row g of the color table is rolled[n - g], a view of 2n entries
+        self.rolled = rolled_cells(ring, np.uint16)
+        # per key dtype: the cell ids twice over, and a buffer for them
+        # times the number of cells with its window view
+        self._key_windows: dict = {}
         self.node_budget = node_budget
         self.nodes = 0
         self.ncolors = ring.rank
@@ -127,6 +152,31 @@ class _StabilizerSearch:
         key color * C + cell, up to ncolors * C - 1."""
         return np.promote_types(np.uint16, np.min_scalar_type(self.ncolors * C - 1))
 
+    def _key_window(self, C: int) -> np.ndarray:
+        """A view whose row n - v is the colors of row v of the color
+        table times C, in the `_key_dtype` of C."""
+        dt = self._key_dtype(C)
+        if dt not in self._key_windows:
+            ids = np.tile(self.rolled[0].astype(dt), 2)
+            buf = np.empty_like(ids)
+            self._key_windows[dt] = ids, buf, np.lib.stride_tricks.sliding_window_view(buf, self.n)
+        ids, buf, window = self._key_windows[dt]
+        np.multiply(ids, C, out=buf)
+        return window
+
+    def _sorted_keys(self, points, cell_id, window):
+        """The bytes of each point's sorted key row, made a block of
+        rows at a time."""
+        n = self.n
+        step = _block_rows(n)
+        for start in range(0, len(points), step):
+            keys = window[n - points[start:start + step]]
+            keys += cell_id
+            keys.sort(axis=1)
+            raw = keys.tobytes()
+            width = len(raw) // len(keys)
+            yield from (raw[i:i + width] for i in range(0, len(raw), width))
+
     def _refine(self, cells):
         """One-dimensional refinement against the edge-color table, stable
         under color-automorphisms cell-index-wise.
@@ -134,45 +184,42 @@ class _StabilizerSearch:
         The signature of a vertex v is the multiset of (edge color to u,
         cell of u) over all u, realized as the sorted row of combined
         keys color * C + cell; cells split into the order of the
-        signatures' bytes.  The keys are built in place in the
-        `_key_dtype` of C: uint16 while ncolors * C <= 2**16, else uint32
-        (ncolors * C <= n**2 < 2**32 for n < 2**16).  Every key is
-        non-negative and fits, so a wider little-endian dtype would only
-        append zero bytes, equal in every key, to each entry: the byte
-        order of two rows, and so the order of the new cells, is the same
-        at any width.
+        signatures' bytes.  The keys are built in the `_key_dtype` of C:
+        uint16 while ncolors * C <= 2**16, else uint32 (ncolors * C <=
+        n**2 < 2**32 for n < 2**16).  Every key is non-negative and fits,
+        so a wider little-endian dtype would only append zero bytes, equal
+        in every key, to each entry: the byte order of two rows, and so
+        the order of the new cells, is the same at any width.  The rows
+        are made a block of points at a time from the `_key_window` of C,
+        with no color table, and bucketed cell by cell; a cell larger
+        than a block fills its buckets over several blocks.
         """
-        n, D = self.n, self.D
+        n = self.n
         while True:
             C = len(cells)
             if C == n:
                 return cells
-            dt = self._key_dtype(C)
-            cell_id = np.empty(n, dtype=dt)
+            window = self._key_window(C)
+            cell_id = np.empty(n, dtype=window.dtype)
             for i, c in enumerate(cells):
                 cell_id[c] = i
             active = np.concatenate([c for c in cells if len(c) > 1])
-            keys = D[active].astype(dt, copy=False)
-            keys *= C
-            keys += cell_id
-            keys.sort(axis=1)
-            row_of = {int(v): i for i, v in enumerate(active)}
+            keys = self._sorted_keys(active, cell_id, window)
             new_cells = []
-            changed = False
             for c in cells:
                 if len(c) == 1:
                     new_cells.append(c)
                     continue
                 buckets: dict[bytes, list[int]] = {}
-                for v in c.tolist():
-                    buckets.setdefault(keys[row_of[v]].tobytes(), []).append(v)
+                # zip takes exactly len(c) rows from keys
+                for v, key in zip(c.tolist(), keys):
+                    buckets.setdefault(key, []).append(v)
                 if len(buckets) == 1:
                     new_cells.append(c)
                     continue
-                changed = True
                 for key in sorted(buckets):
                     new_cells.append(np.array(buckets[key], dtype=np.int64))
-            if not changed:
+            if len(new_cells) == C:
                 return new_cells
             cells = new_cells
 
@@ -197,23 +244,12 @@ class _StabilizerSearch:
         return [(b, self._transversal(level), self.found[level])
                 for level, b in enumerate(self.base)]
 
-    def _transversal(self, level: int) -> dict:
-        """{pt: (u, u^-1)} over the orbit of base[level], by breadth-first
-        search under the automorphisms found at this level or deeper."""
-        b = self.base[level]
+    def _transversal(self, level: int) -> SchreierTree:
+        """{pt: (u, u^-1)} over the orbit of base[level], as the Schreier
+        tree of a breadth-first search under the automorphisms found at
+        this level or deeper."""
         gens = [g for found in self.found[level:] for g in found]
-        e = identity(self.n)
-        trans = {b: (e, e)}
-        queue = [b]
-        for pt in queue:
-            u = trans[pt][0]
-            for g in gens:
-                img = g[pt]
-                if img not in trans:
-                    v = mult(u, g)
-                    trans[img] = (v, inverse(v))
-                    queue.append(img)
-        return trans
+        return SchreierTree(self.n, self.base[level], gens)
 
     def _tick(self, level: int) -> None:
         self.nodes += 1
@@ -253,7 +289,7 @@ class _StabilizerSearch:
         cells position by position, if it preserves every color."""
         f = np.empty(self.n, dtype=np.int64)
         f[self.p_flat[level]] = np.concatenate(cells)
-        return tuple(f.tolist()) if _preserves_colors(self.D, f) else None
+        return tuple(f.tolist()) if _preserves_colors(self.rolled, f) else None
 
     def _descend_off_path(self, level: int, cells):
         """The first automorphism, in depth-first candidate order, among
@@ -298,7 +334,7 @@ def _aut_group_cached(ring: SRing, node_budget: int) -> PermGroup:
         return _chain_group(symmetric_chain(n))
     search = _StabilizerSearch(ring, node_budget)
     group = _chain_group(translation_chain(n, search.run()))
-    if not all(_preserves_colors(search.D, g) for g in group.generators):
+    if not all(_preserves_colors(search.rolled, g) for g in group.generators):
         raise AssertionError("search returned a non-automorphism; internal error")
     return group
 
@@ -308,8 +344,9 @@ def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
     """The full automorphism group of the Cayley scheme of the ring.
 
     Always contains the translations.  Every returned generator is
-    verified against the full color table.  Raises BudgetError when n or
-    the search budget is exceeded (never returns a wrong answer).
+    verified against every color, a block of rows at a time.  Raises
+    BudgetError when n or the search budget is exceeded (never returns a
+    wrong answer).
     """
     if ring.n > max_n:
         raise BudgetError(

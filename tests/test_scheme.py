@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -25,14 +26,25 @@ from circulant import (
     two_equivalent,
     induced_on_section,
 )
-from circulant.perm import PermGroup, groups_equal, is_identity, mult, symmetric
+from circulant import scheme
+from circulant.perm import (
+    PermGroup,
+    StabChain,
+    groups_equal,
+    identity,
+    inverse,
+    is_identity,
+    mult,
+    symmetric,
+)
 from circulant.scheme import (
     DEFAULT_NODE_BUDGET,
+    _preserves_colors,
     _StabilizerSearch,
     _aut_group_cached,
     color_matrix,
 )
-from circulant.sring import SRing
+from circulant.sring import SRing, rolled_cells
 from circulant.structure import canonical_gwp
 
 # sha256 prefix of [n, nodes visited, generators found by level] over every
@@ -48,7 +60,11 @@ SEARCH_NODES_N30 = 5466
 class _FullDescentSearch(_StabilizerSearch):
     """Oracle: the search as it was before the aligned-map test, which
     descends through the candidates of every off-path node down to a leaf
-    and tests only the leaf."""
+    and tests only the leaf, against the full color table."""
+
+    def __init__(self, ring, node_budget):
+        super().__init__(ring, node_budget)
+        self.D = color_matrix(ring)
 
     def _descend_off_path(self, level, cells):
         if level == len(self.base):
@@ -77,6 +93,7 @@ class _Int64RefineSearch(_StabilizerSearch):
     def __init__(self, ring, node_budget):
         self.n = ring.n
         self.D = color_matrix(ring)
+        self.rolled = rolled_cells(ring, np.uint16)
         self.node_budget = node_budget
         self.nodes = 0
         initial = [np.array(cell, dtype=np.int64) for cell in ring.cells]
@@ -128,6 +145,25 @@ class _Int64RefineSearch(_StabilizerSearch):
             if not changed:
                 return new_cells
             cells = new_cells
+
+
+def eager_transversal(search, level):
+    """Oracle: the transversal as a dict of dense pairs (u, u^-1) over the
+    orbit of base[level], as the search built it before Schreier trees."""
+    b = search.base[level]
+    gens = [g for found in search.found[level:] for g in found]
+    e = identity(search.n)
+    trans = {b: (e, e)}
+    queue = [b]
+    for pt in queue:
+        u = trans[pt][0]
+        for g in gens:
+            img = g[pt]
+            if img not in trans:
+                v = mult(u, g)
+                trans[img] = (v, inverse(v))
+                queue.append(img)
+    return trans
 
 
 def run_search(cls, ring):
@@ -369,10 +405,27 @@ def test_refinement_leaves_the_basic_sets_as_they_are():
         assert [c.tolist() for c in search._refine(root)] == [list(c) for c in ring.cells]
 
 
+def assert_search_matches_int64_oracle(cls, rings):
+    """The search node for node as the int64 oracle's: the same
+    partitions, base, generators and node count.  Every cell of the first
+    path is strictly ascending.  Returns the searches."""
+    searches = []
+    for ring in rings:
+        search = run_search(cls, ring)
+        oracle = run_search(_Int64RefineSearch, ring)
+        assert search.base == oracle.base, ring.cells
+        assert [[c.tolist() for c in p] for p in search.p_seq] == \
+            [[c.tolist() for c in p] for p in oracle.p_seq], ring.cells
+        assert search.found == oracle.found, ring.cells
+        assert search.nodes == oracle.nodes, ring.cells
+        for p in search.p_seq:
+            assert all(np.all(np.diff(c) > 0) for c in p), ring.cells
+        searches.append(search)
+    return searches
+
+
 def test_search_matches_the_int64_refinement():
-    """Narrow keys and the unrefined root give the oracle's search node for
-    node: the same partitions, base, generators and node count.  Every
-    cell of the first path is strictly ascending."""
+    """Narrow keys and the unrefined root give the oracle's search."""
 
     class Recording(_StabilizerSearch):
         def __init__(self, ring, node_budget):
@@ -387,20 +440,114 @@ def test_search_matches_the_int64_refinement():
     rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
     assert len(rings) == 718
     assert plus_minus_one_ring(200) == cyclotomic(200, (-1,))
-    widths = {}
-    for ring in rings + [plus_minus_one_ring(200), plus_minus_one_ring(600)]:
-        search = run_search(Recording, ring)
-        oracle = run_search(_Int64RefineSearch, ring)
-        assert search.base == oracle.base, ring.cells
-        assert search.p_shapes == oracle.p_shapes, ring.cells
-        assert search.found == oracle.found, ring.cells
-        assert search.nodes == oracle.nodes, ring.cells
-        for p in search.p_seq:
-            assert all(np.all(np.diff(c) > 0) for c in p), ring.cells
-        widths[ring.n] = search.widths
+    rings += [plus_minus_one_ring(200), plus_minus_one_ring(600)]
+    widths = {s.n: s.widths for s in assert_search_matches_int64_oracle(Recording, rings)}
     assert widths[200] == {"uint16"}
     # 301 colors times 302 cells after the first individualization > 2**16
     assert widths[600] == {"uint32"}
+
+
+def test_search_in_small_blocks_matches_the_int64_refinement(monkeypatch):
+    """With blocks of 64 entries, at most 21 rows for these rings (3 <= n
+    <= 30), the keys of a cell come in several blocks and the search is
+    still the oracle's."""
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 64)
+    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
+    searches = assert_search_matches_int64_oracle(_StabilizerSearch, rings)
+    assert any(len(c) > 64 // s.n for s in searches for p in s.p_seq for c in p)
+
+
+def test_blockwise_color_check_matches_the_full_table(monkeypatch):
+    """_preserves_colors, a block of rows at a time, agrees with the full
+    color table on automorphisms and on random permutations.  A failing
+    pair of rows g, h fails in both rows, since D[h, g] is the basic set
+    inverse to D[g, h]; the non-injective map on rank2(n) that sends n - 1
+    to n - 2 fails only in rows n - 2 and n - 1, so only the last block
+    sees it."""
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng(0)
+    checked = 0
+    for ring in catalog_rings(16):
+        n = ring.n
+        D, rolled = color_matrix(ring), rolled_cells(ring, np.uint16)
+        maps = [np.array(g) for g in aut_group(ring).generators]
+        maps += [rng.permutation(n) for _ in range(3)]
+        for f in maps:
+            assert _preserves_colors(rolled, f) == np.array_equal(D[f][:, f], D)
+            checked += 1
+    assert checked > 1000
+    n = 16
+    D, rolled = color_matrix(rank2(n)), rolled_cells(rank2(n), np.uint16)
+    f = np.arange(n)
+    f[n - 1] = n - 2
+    bad_rows = np.flatnonzero((D[f][:, f] != D).any(axis=1)).tolist()
+    step = 64 // n
+    assert bad_rows == [n - 2, n - 1] and (n - 2) // step == (n - 1) // step == n // step - 1
+    assert not _preserves_colors(rolled, f)
+    assert _preserves_colors(rolled, np.arange(n))
+
+
+def test_schreier_trees_match_the_eager_transversals():
+    """Each level's Schreier tree has the eager dict's points in its order
+    and the same pairs (u, u^-1)."""
+    for ring in catalog_rings(30):
+        if ring.rank <= 2:
+            continue
+        search = run_search(_StabilizerSearch, ring)
+        for level in range(len(search.base)):
+            tree = search._transversal(level)
+            eager = eager_transversal(search, level)
+            assert list(tree) == list(eager), ring.cells
+            assert list(tree.items()) == list(eager.items()), ring.cells
+    search = run_search(_StabilizerSearch, cyclotomic(1999, (9,)))
+    tree = search._transversal(0)
+    eager = eager_transversal(search, 0)
+    assert list(tree) == list(eager)
+    keys = list(eager)
+    for pt in keys[::97] + keys[-1:]:
+        assert tree[pt] == eager[pt]
+        assert pt in tree
+    assert -1 not in tree and tree.get(-1) is None
+
+
+def test_elements_read_each_level_once():
+    """elements() enumerates Aut as a chain of eager dicts does, for every
+    catalog ring with n <= 12 whose group has at most 10**5 elements (all
+    but Sym(n) for n >= 9 and one group of order 1036800), and reads each
+    level's representatives once."""
+
+    class Counting(Mapping):
+        def __init__(self, trans):
+            self.trans = trans
+            self.reads = 0
+
+        def __getitem__(self, pt):
+            self.reads += 1
+            return self.trans[pt]
+
+        def __len__(self):
+            return len(self.trans)
+
+        def __iter__(self):
+            return iter(self.trans)
+
+    compared = 0
+    for ring in catalog_rings(12):
+        aut = aut_group(ring)
+        if aut.order() > 10 ** 5:
+            continue
+        chain = aut.chain
+        levels = list(zip(chain.base, chain.transversals, chain.gen_lists))
+        eager = StabChain.from_levels(ring.n, [(b, dict(t.items()), g) for b, t, g in levels])
+        counted = [Counting(t) for _, t, _ in levels]
+        counting = StabChain.from_levels(
+            ring.n, [(b, t, g) for (b, _, g), t in zip(levels, counted)])
+        elements = list(aut.elements())
+        assert len(elements) == aut.order()
+        assert elements == list(eager.elements()) == list(counting.elements()), ring.cells
+        assert [t.reads for t in counted] == [len(t) for t in counted]
+        compared += 1
+    assert compared == 79
 
 
 def test_aut_memory_is_bounded():
@@ -414,3 +561,22 @@ def test_aut_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * n * n
+
+
+@pytest.mark.parametrize("ring, order", [(plus_minus_one_ring(5000), 2 * 5000),
+                                         (cyclotomic(1999, (9,)), 1999 * 999)],
+                         ids=["pm1-5000", "c9-1999"])
+def test_aut_memory_is_linear(ring, order):
+    """No color table and no dense transversal: Aut of Cyc({+-1}, Z_5000)
+    and of the Paley-type Cyc(<9>, Z_1999) peak under 16 MB, and the group
+    holds under 2 MB while it is alive."""
+    _aut_group_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        group = aut_group(ring)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order() == order
+    assert peak < 16 * 2 ** 20
+    assert retained < 2 * 2 ** 20
