@@ -17,6 +17,12 @@ group holds every translation, so (x, y) lies in the orbit of (0, y - x)
 and the 2-orbits are classes of differences, d ~ g(x+d) - g(x) over every
 generator g and every x: n nodes instead of n^2.  Other groups take the
 n^2 pair nodes.
+
+The action induced on a section U/L requires a group that contains
+x -> x+1 and has the U-cosets and L-cosets as blocks.  The translations
+t_j are then coset representatives of the setwise stabilizer of U, and
+its Schreier generators t_j g t_k^-1 are read only at the u/l points of U
+that give their action on U/L.
 """
 
 from __future__ import annotations
@@ -632,51 +638,41 @@ def _coset_invariant(g: Perm, n: int, modulus: int) -> bool:
     return True
 
 
-def _check_section_invariant(group: PermGroup, sec: Section) -> None:
+def _check_section(group: PermGroup, sec: Section) -> None:
     n = sec.n
     if group.degree != n:
         raise DomainError(f"group degree {group.degree} does not match section modulus {n}")
     for g in group.generators:
         if not (_coset_invariant(g, n, n // sec.u) and _coset_invariant(g, n, n // sec.l)):
             raise DomainError(f"section not invariant under generator {g}")
+    step = translation(n, 1)
+    if step not in group.generators and not group.contains(step):
+        raise DomainError("the group does not contain x -> x+1")
 
 
-def _section_stabilizer_gens(group: PermGroup, sec: Section) -> list[Perm]:
-    """Schreier generators of the setwise stabilizer of U, using the
-    translations t_j as coset representatives (the group is assumed to
-    contain them)."""
-    n, u = sec.n, sec.u
-    nu = n // u
-    if u == n:
-        return list(group.generators)
-    gens = []
-    for g in group.generators:
-        for j in range(nu):
-            k = g[j] % nu
-            gens.append(tuple((g[(x + j) % n] - k) % n for x in range(n)))
-    return gens
-
-
-def _induced_perm(h: Perm, sec: Section) -> Perm:
-    """Action of a U-stabilizing permutation on L-classes within U, as a
-    permutation of Z_{u/l} under the canonical identification."""
-    nu = sec.n // sec.u
-    s = sec.order
-    return tuple((h[c * nu] // nu) % s for c in range(s))
+def section_action(g: Perm, j: int, sec: Section) -> tuple[int, Perm]:
+    """For k = g(j) mod n/u, the Schreier generator t_j g t_k^-1 (t_v is
+    x -> x+v) maps U onto itself.  Returns k and its action on the
+    L-classes of U as a permutation of Z_{u/l}, read at the u/l points
+    c * n/u, without building the degree-n permutation."""
+    nu, s = sec.n // sec.u, sec.order
+    k = g[j] % nu
+    # g(c * n/u + j) is k + q * n/u, which t_k^-1 maps to q * n/u
+    return k, tuple(g[c * nu + j] // nu % s for c in range(s))
 
 
 def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
     """The action induced on the section U/L of Z_n by the setwise
     stabilizer of U, under the canonical identification with Z_{u/l}.
 
-    Requires the U-coset and L-coset partitions to be invariant; the group
-    is assumed to contain the translations of Z_n (so the setwise
-    stabilizer is reached by translation coset representatives).
+    Requires the U-coset and L-coset partitions to be invariant and the
+    group to contain x -> x+1 (see the module docstring).
     """
-    _check_section_invariant(group, sec)
+    _check_section(group, sec)
     if sec.u == sec.n and sec.l == 1:
         return group
-    induced = {_induced_perm(h, sec) for h in _section_stabilizer_gens(group, sec)}
+    induced = {section_action(g, j, sec)[1]
+               for g in group.generators for j in range(sec.n // sec.u)}
     return PermGroup(sec.order, induced)
 
 
@@ -749,23 +745,23 @@ def intersect(g1: PermGroup, g2: PermGroup,
 
 def induced_action_table(group: PermGroup, sec: Section) -> dict[Perm, Perm]:
     """Map each element of the induced section action to one preimage, by
-    breadth-first search over products of the stabilizer generators."""
-    _check_section_invariant(group, sec)
-    s = sec.order
-    base_gens = _section_stabilizer_gens(group, sec)
-    pairs = []
-    seen = set()
-    for h in base_gens:
-        sigma = _induced_perm(h, sec)
-        if sigma not in seen:
-            seen.add(sigma)
-            pairs.append((h, sigma))
+    breadth-first search over products of the stabilizer generators; a
+    Schreier generator is built in full only for the first (g, j) of each
+    new action."""
+    _check_section(group, sec)
+    n, s = sec.n, sec.order
+    pairs: dict[Perm, Perm] = {}
+    for g in group.generators:
+        for j in range(n // sec.u):
+            k, sigma = section_action(g, j, sec)
+            if sigma not in pairs:
+                pairs[sigma] = mult(mult(translation(n, j), g), translation(n, -k))
 
     table: dict[Perm, Perm] = {identity(s): identity(group.degree)}
     frontier = [(identity(s), identity(group.degree))]
     while frontier:
         sigma, elem = frontier.pop(0)
-        for h, hs in pairs:
+        for hs, h in pairs.items():
             new_sigma = mult(sigma, hs)
             if new_sigma not in table:
                 if len(table) >= INDUCED_TABLE_LIMIT:

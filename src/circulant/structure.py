@@ -16,6 +16,7 @@ from .perm import (
     induced_action_table,
     induced_on_section,
     kernel_on_blocks,
+    section_action,
     two_equivalent,
 )
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, aut_group
@@ -266,14 +267,15 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
         raise DomainError(f"bottom factor must act on Z_{n // l}, got degree {d_0.degree}")
     s = u // l
     nu = n // u
-    ind_u = induced_on_section(d_u, Section(u, u, l))
-    ind_0 = induced_on_section(d_0, Section(n // l, u // l, 1))
+    top, bottom = Section(u, u, l), Section(n // l, u // l, 1)
+    ind_u = induced_on_section(d_u, top)
+    ind_0 = induced_on_section(d_0, bottom)
     if not groups_equal(ind_u, ind_0):
         raise DomainError(
             "induced section actions differ: orders "
             f"{ind_u.order()} vs {ind_0.order()}")
 
-    table = induced_action_table(d_u, Section(u, u, l))
+    table = induced_action_table(d_u, top)
     gens: list[Perm] = []
 
     # kernel part: the L-coset kernel of d_u, copied onto every U-coset
@@ -290,9 +292,7 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
     for g0 in d_0.generators:
         img = [0] * n
         for j in range(nu):
-            jp = g0[j] % nu
-            sigma = tuple((((g0[(j + c * nu) % (n // l)] - jp) % (n // l)) // nu) % s
-                          for c in range(s))
+            jp, sigma = section_action(g0, j, bottom)
             d = table.get(sigma)
             if d is None:
                 raise DomainError("lifting failure: block action not in the top factor")

@@ -20,7 +20,7 @@ MAX_MODULUS = 100_000
 
 
 def check_modulus(n: int, limit: int = MAX_MODULUS) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"modulus must be a positive integer, got {n!r}")
     if n > limit:
         raise DomainError(f"modulus {n} exceeds the configured limit {limit}")

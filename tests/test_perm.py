@@ -29,15 +29,18 @@ from circulant.perm import (
     check_perm,
     groups_equal,
     identity,
+    induced_action_table,
     inverse,
     is_identity,
     mult,
     symmetric_chain,
     translation,
     translation_chain,
+    section_action,
     unit_generators,
-    _induced_perm,
 )
+from circulant.sring import cyclotomic, section_ring
+from circulant.structure import _all_sections, canonical_gwp
 
 
 def test_perm_basics():
@@ -235,6 +238,121 @@ def test_induced_on_section_examples():
     assert groups_equal(h, holomorph(3))
     with pytest.raises(DomainError, match="section not invariant"):
         induced_on_section(symmetric(6), Section(6, 3, 1))
+    # x -> -x keeps the cosets of U = {0, 2, 4} but is no translation: the
+    # group it generates induces a group of order 2 on U, not Sym(3)
+    flip = PermGroup(6, [tuple(-x % 6 for x in range(6))])
+    with pytest.raises(DomainError, match="x -> x\\+1"):
+        induced_on_section(flip, Section(6, 3, 1))
+    # a group that holds x -> x+1 without it among its generators passes
+    dihedral = PermGroup(6, [translation(6, 2), translation(6, 3), flip.generators[0]])
+    assert groups_equal(induced_on_section(dihedral, Section(6, 3, 1)), symmetric(3))
+
+
+def schreier_generators(generators, sec):
+    """The degree-n route: every Schreier generator t_j g t_k^-1 of the
+    setwise stabilizer of U, for k = g(j) mod n/u, built in full."""
+    n, nu = sec.n, sec.n // sec.u
+    return [tuple((g[(x + j) % n] - g[j] % nu) % n for x in range(n))
+            for g in generators for j in range(nu)]
+
+
+def read_on_section(h, sec):
+    """The action of a U-stabilizing permutation on the L-classes of U."""
+    nu = sec.n // sec.u
+    return tuple(h[c * nu] // nu % sec.order for c in range(sec.order))
+
+
+def oracle_induced(group, sec):
+    if sec.u == sec.n and sec.l == 1:
+        return group
+    return PermGroup(sec.order, {read_on_section(h, sec)
+                                 for h in schreier_generators(group.generators, sec)})
+
+
+def oracle_action_table(group, sec):
+    pairs = {}
+    for h in schreier_generators(group.generators, sec):
+        pairs.setdefault(read_on_section(h, sec), h)
+    table = {identity(sec.order): identity(sec.n)}
+    frontier = list(table.items())
+    for sigma, elem in frontier:
+        for hs, h in pairs.items():
+            new_sigma = mult(sigma, hs)
+            if new_sigma not in table:
+                table[new_sigma] = mult(elem, h)
+                frontier.append((new_sigma, table[new_sigma]))
+    return table
+
+
+def oracle_canonical_gwp(d_u, d_0, sec):
+    n, u, l = sec.n, sec.u, sec.l
+    s, nu = u // l, n // u
+    bottom = Section(n // l, u // l, 1)
+    table = oracle_action_table(d_u, Section(u, u, l))
+    gens = []
+    kernel = kernel_on_blocks(d_u, [[y for y in range(u) if y % s == c] for c in range(s)])
+    for k in kernel.generators:
+        for j in range(nu):
+            img = list(range(n))
+            for y in range(u):
+                img[j + nu * y] = j + nu * k[y]
+            gens.append(tuple(img))
+    for g0 in d_0.generators:
+        img = [0] * n
+        for j, h in enumerate(schreier_generators([g0], bottom)):
+            d = table[read_on_section(h, bottom)]
+            for y in range(u):
+                img[j + nu * y] = g0[j] % nu + nu * d[y]
+        gens.append(tuple(img))
+    return PermGroup(n, gens)
+
+
+def test_section_actions_match_the_degree_n_route():
+    # exact generator tuples, in order, over every Aut and resolve group of
+    # the catalogs with n <= 24 and every section of the ring; action
+    # tables up to s = 6; canonical products of the Aut groups of the
+    # rings on U and on G/L
+    products = 0
+    for n in range(2, 25):
+        for ring in enumerate_srings(n):
+            sections = _all_sections(ring)
+            for group in (aut_group(ring), resolve(ring).group):
+                for sec in sections:
+                    assert (induced_on_section(group, sec).generators
+                            == oracle_induced(group, sec).generators)
+                    if sec.order <= 6:
+                        table = induced_action_table(group, sec)
+                        assert list(table.items()) == list(oracle_action_table(group, sec).items())
+            for sec in sections:
+                if not 1 < sec.l <= sec.u < n:
+                    continue
+                d_u = aut_group(section_ring(ring, Section(n, sec.u, 1)))
+                d_0 = aut_group(section_ring(ring, Section(n, n, sec.l)))
+                try:
+                    product = canonical_gwp(d_u, d_0, sec)
+                except DomainError:
+                    top = Section(sec.u, sec.u, sec.l)
+                    bottom = Section(n // sec.l, sec.u // sec.l, 1)
+                    assert not groups_equal(oracle_induced(d_u, top), oracle_induced(d_0, bottom))
+                    continue
+                products += 1
+                assert product.generators == oracle_canonical_gwp(d_u, d_0, sec).generators
+    assert products > 100
+
+
+def test_induced_on_section_reads_only_the_points_of_u():
+    # the degree-n route holds n/u Schreier generators of degree n per
+    # generator: 137 MB here
+    n = 2000
+    aut = aut_group(cyclotomic(n, (-1,)))
+    tracemalloc.start()
+    try:
+        induced = induced_on_section(aut, Section(n, 2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert induced.generators == ((1, 0),)
+    assert peak < 1000 * n
 
 
 def test_induced_groups_of_equivalent_sections_match():
@@ -292,7 +410,7 @@ def test_preimage_with_induced_examples():
     target = (0, 2, 1)  # x -> 2x on Z_3
     pre = preimage_with_induced(h9, sec, target)
     assert h9.contains(pre)
-    assert _induced_perm(pre, sec) == target
+    assert section_action(pre, 0, sec) == (0, target)
     assert preimage_with_induced(h9, sec, (0, 1, 2)) == identity(9)
     t4 = translations(4)
     pre2 = preimage_with_induced(t4, Section(4, 4, 2), (1, 0))
