@@ -6,13 +6,18 @@ The enumeration builds, per divisor m of n: all cyclotomic rings and the
 rank-2 ring as seeds, then closes under tensor products over coprime
 splittings and generalized wreath products over proper sections (1 < l,
 u < n).  Both closure operations consume only catalogs of smaller moduli,
-so one pass per modulus reaches the fixpoint.  Products are built as
-partitions and validated only when their canonical ring is new: an equal
-partition is the same ring, already validated.  Completeness rests on
-the radical dichotomy (a ring is either a proper generalized wreath
-product or a tensor product of a normal ring and rank-2 rings, and
-normal rings are cyclotomic) and is certified against the brute-force
-oracle for n <= 13.
+so one pass per modulus reaches the fixpoint.  A partition of Z_n is
+determined by its least-point map, x -> the least point of x's cell, so
+the closure keys each ring by the bytes of that map.  The key of a
+generalized wreath product needs no partition: it is
+scale * least_left[x // scale] at the points x of U (scale = n/u) and
+least_right[x mod n/l] elsewhere, one gather over the least-point rows of
+the factors' catalogs.
+A product is built, canonicalized and validated only when its key is new.
+Completeness rests on the radical dichotomy (a ring is either a proper
+generalized wreath product or a tensor product of a normal ring and rank-2
+rings, and normal rings are cyclotomic) and is certified against the
+brute-force oracle for n <= 13.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+
+import numpy as np
 
 from .errors import BudgetError, DomainError
 from .scheme import is_normal, is_schurian
@@ -72,6 +79,25 @@ class Catalog:
     def __contains__(self, ring: SRing) -> bool:
         return ring in self._entry_set
 
+    @cached_property
+    def least_points(self) -> np.ndarray:
+        """Row i is the least-point map of entry i."""
+        return np.array([_least_points(self.n, ring.cells) for ring in self.entries],
+                        dtype=_key_dtype(self.n)).reshape(len(self), self.n)
+
+
+def _key_dtype(n: int) -> np.dtype:
+    return np.min_scalar_type(n - 1)
+
+
+def _least_points(n: int, cells) -> np.ndarray:
+    """least[x] = the least point of x's cell, for canonical cells."""
+    least = [0] * n
+    for cell in cells:
+        for x in cell:
+            least[x] = cell[0]
+    return np.array(least, dtype=_key_dtype(n))
+
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:
     """All subgroups of (Z/n)*, by closing the cyclic subgroups under
@@ -86,6 +112,8 @@ def _unit_subgroups(n: int) -> list[frozenset[int]]:
         new = set()
         for a in frontier:
             for b in cyclic:
+                if b <= a:
+                    continue
                 joined = multiplicative_closure(n, tuple(a | b))
                 if joined not in subgroups:
                     subgroups.add(joined)
@@ -105,17 +133,12 @@ def enumerate_srings(n: int, limit: int = ENUMERATE_MAX_N) -> Catalog:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> Catalog:
-    found: dict[SRing, str] = {}
+    # least-point map bytes -> (ring, provenance); an equal key is the
+    # same ring, already validated
+    found: dict[bytes, tuple[SRing, str]] = {}
 
     def add(ring: SRing, how: str) -> None:
-        if ring not in found:
-            found[ring] = how
-
-    def add_partition(cells, how: str) -> None:
-        # an equal partition in found is the same ring, already validated
-        cells = canonical_partition(cells)
-        if SRing(n, cells) not in found:
-            found[validate(n, cells)] = how
+        found.setdefault(_least_points(n, ring.cells).tobytes(), (ring, how))
 
     for K in _unit_subgroups(n):
         add(cyclotomic(n, tuple(sorted(K))), f"seed:cyc({sorted(K)})")
@@ -127,8 +150,32 @@ def _enumerate_cached(n: int) -> Catalog:
             continue
         for i, left in enumerate(_enumerate_cached(a).entries):
             for j, right in enumerate(_enumerate_cached(b).entries):
-                add_partition(tensor_partition(left, right), f"tensor({a}#{i},{b}#{j})")
+                cells = canonical_partition(tensor_partition(left, right))
+                key = _least_points(n, cells).tobytes()
+                if key not in found:
+                    found[key] = (validate(n, cells), f"tensor({a}#{i},{b}#{j})")
 
+    for sec, i, js in _gwp_pairs(n):
+        u, l = sec.u, sec.l
+        cat_u, cat_q = _enumerate_cached(u), _enumerate_cached(n // l)
+        keys = _gwp_keys(cat_u.least_points[i], cat_q.least_points[js], sec)
+        for j, row in zip(js, keys):
+            key = row.tobytes()
+            if key in found:
+                continue
+            cells = canonical_partition(
+                generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec))
+            assert np.array_equal(_least_points(n, cells), row), (sec, i, j)
+            found[key] = (validate(n, cells), f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
+
+    entries = sorted(found.values(), key=lambda e: (e[0].rank, e[0].cells))
+    return Catalog(n, tuple(ring for ring, _ in entries), tuple(how for _, how in entries))
+
+
+def _gwp_pairs(n: int):
+    """The products the closure forms over Z_n: for each proper section
+    U/L (1 < l, u < n) and each left factor i over Z_u, (sec, i, js) with js
+    the right factors over Z_{n/l} that induce the same ring on U/L."""
     for u in divisors(n):
         if u == n:
             continue
@@ -136,27 +183,28 @@ def _enumerate_cached(n: int) -> Catalog:
             if l == 1:
                 continue
             sec = Section(n, u, l)
-            cat_u = _enumerate_cached(u)
-            cat_q = _enumerate_cached(n // l)
             # bucket by the induced ring on U/L to pair only matching factors
-            buckets: dict[SRing, list[tuple[int, SRing]]] = {}
-            for j, right in enumerate(cat_q.entries):
-                lat = subgroup_lattice(right)
-                if u // l not in lat:
-                    continue
-                key = section_ring(right, Section(n // l, u // l, 1))
-                buckets.setdefault(key, []).append((j, right))
-            for i, left in enumerate(cat_u.entries):
-                lat = subgroup_lattice(left)
-                if l not in lat:
-                    continue
-                key = section_ring(left, Section(u, u, l))
-                for j, right in buckets.get(key, ()):
-                    add_partition(generalized_wreath_partition(left, right, sec),
-                                  f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
+            buckets: dict[SRing, list[int]] = {}
+            for j, right in enumerate(_enumerate_cached(n // l).entries):
+                if u // l in subgroup_lattice(right):
+                    key = section_ring(right, Section(n // l, u // l, 1))
+                    buckets.setdefault(key, []).append(j)
+            for i, left in enumerate(_enumerate_cached(u).entries):
+                if l in subgroup_lattice(left):
+                    js = buckets.get(section_ring(left, Section(u, u, l)))
+                    if js:
+                        yield sec, i, js
 
-    entries = sorted(found, key=lambda r: (r.rank, r.cells))
-    return Catalog(n, tuple(entries), tuple(found[r] for r in entries))
+
+def _gwp_keys(left: np.ndarray, rights: np.ndarray, sec: Section) -> np.ndarray:
+    """The least-point maps of left wr_{U/L} right, one row per row of
+    rights, from the least-point maps of the factors: a point x of U (a
+    multiple of scale = n/u) has the least point scale * left[x // scale],
+    any other x that of its L-coset's cell, rights[x mod n/l]."""
+    n, scale = sec.n, sec.n // sec.u
+    keys = rights[:, np.arange(n) % (n // sec.l)].astype(_key_dtype(n))
+    keys[:, ::scale] = scale * left.astype(keys.dtype)
+    return keys
 
 
 def brute_force_srings(n: int) -> Catalog:

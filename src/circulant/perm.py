@@ -743,11 +743,13 @@ def intersect(g1: PermGroup, g2: PermGroup,
     return PermGroup(small.degree, gens, chain=result)
 
 
-def induced_action_table(group: PermGroup, sec: Section) -> dict[Perm, Perm]:
-    """Map each element of the induced section action to one preimage, by
-    breadth-first search over products of the stabilizer generators; a
+def induced_action_table(group: PermGroup, sec: Section, wanted) -> dict[Perm, Perm]:
+    """Map elements of the induced section action to one preimage each, by
+    breadth-first search over products of the stabilizer generators, until
+    every action in ``wanted`` is in the table (or the search ends); a
     Schreier generator is built in full only for the first (g, j) of each
-    new action."""
+    new action.  The search order does not depend on ``wanted``, so every
+    entry is the one the search over the whole image would give."""
     _check_section(group, sec)
     n, s = sec.n, sec.order
     pairs: dict[Perm, Perm] = {}
@@ -758,8 +760,9 @@ def induced_action_table(group: PermGroup, sec: Section) -> dict[Perm, Perm]:
                 pairs[sigma] = mult(mult(translation(n, j), g), translation(n, -k))
 
     table: dict[Perm, Perm] = {identity(s): identity(group.degree)}
+    missing = set(wanted) - table.keys()
     frontier = [(identity(s), identity(group.degree))]
-    while frontier:
+    while frontier and missing:
         sigma, elem = frontier.pop(0)
         for hs, h in pairs.items():
             new_sigma = mult(sigma, hs)
@@ -770,15 +773,15 @@ def induced_action_table(group: PermGroup, sec: Section) -> dict[Perm, Perm]:
                 new_elem = mult(elem, h)
                 table[new_sigma] = new_elem
                 frontier.append((new_sigma, new_elem))
+                missing.discard(new_sigma)
     return table
 
 
 def preimage_with_induced(group: PermGroup, sec: Section, target) -> Perm:
     """Some group element whose induced action on the section equals
     ``target`` (BFS over generator products; identity maps to identity)."""
-    table = induced_action_table(group, sec)
     target = check_perm(target, sec.order)
-    found = table.get(tuple(target))
+    found = induced_action_table(group, sec, {target}).get(target)
     if found is None:
         raise DomainError("target is not in the induced image of the group")
     return found

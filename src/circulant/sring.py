@@ -103,11 +103,11 @@ def validate(n: int, partition) -> SRing:
     not constant on some cell.
     """
     check_modulus(n)
+    if any(len(cell) == 0 for cell in partition):
+        raise DomainError("empty cell")
     cells = canonical_partition(partition)
     seen = [False] * n
     for cell in cells:
-        if not cell:
-            raise DomainError("empty cell")
         for x in cell:
             if not 0 <= x < n:
                 raise DomainError(f"element {x} out of range for Z_{n}")
@@ -148,7 +148,9 @@ def rolled_cells(ring: SRing, dtype) -> np.ndarray:
     cell_of[_points(ring)] = np.repeat(np.arange(ring.rank, dtype=dtype),
                                        [len(cell) for cell in ring.cells])
     cell_of[n:] = cell_of[:n]
-    return np.lib.stride_tricks.sliding_window_view(cell_of, n)
+    step = cell_of.strides[0]
+    return np.lib.stride_tricks.as_strided(cell_of, shape=(n + 1, n), strides=(step, step),
+                                           writeable=False)
 
 
 def _cell_blocks(ring: SRing):
@@ -192,14 +194,18 @@ def _check_structure_constants(ring: SRing) -> None:
         whole = len(block) * n <= _CHECK_ENTRIES
         step = n if whole else max(1, _CHECK_ENTRIES // (2 * len(block)))
         for start in range(0, n, step):
-            refs = ref[start:start + step]
-            # the columns start.. after the reference columns left of them
-            need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
-                                   np.arange(start, start + len(refs))])
-            rows = window[block] if whole else window[np.ix_(block, need)]
+            if whole:
+                rows, cols, ref_cols = window[block], slice(None), ref
+            else:
+                refs = ref[start:start + step]
+                # the columns start.. after the reference columns left of them
+                need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
+                                       np.arange(start, start + len(refs))])
+                rows = window[np.ix_(block, need)]
+                cols, ref_cols = slice(len(need) - len(refs), None), np.searchsorted(need, refs)
             rows += tags
             rows.sort(axis=0)
-            bad = rows[:, len(need) - len(refs):] != rows[:, np.searchsorted(need, refs)]
+            bad = rows[:, cols] != rows[:, ref_cols]
             if bad.any():
                 r = int(np.argmax(bad.any(axis=1)))
                 _raise_first_failure(ring, lo + int(rows[r, -1]) // rank)

@@ -275,7 +275,10 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
             "induced section actions differ: orders "
             f"{ind_u.order()} vs {ind_0.order()}")
 
-    table = induced_action_table(d_u, top)
+    # each lift reads the block actions of one generator of d_0; the table
+    # needs preimages of those actions only
+    actions = [[section_action(g0, j, bottom) for j in range(nu)] for g0 in d_0.generators]
+    table = induced_action_table(d_u, top, {sigma for row in actions for _, sigma in row})
     gens: list[Perm] = []
 
     # kernel part: the L-coset kernel of d_u, copied onto every U-coset
@@ -289,10 +292,9 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
 
     # lifts: one permutation per generator of d_0, acting blockwise through
     # translation identifications of each U-coset with U
-    for g0 in d_0.generators:
+    for row in actions:
         img = [0] * n
-        for j in range(nu):
-            jp, sigma = section_action(g0, j, bottom)
+        for j, (jp, sigma) in enumerate(row):
             d = table.get(sigma)
             if d is None:
                 raise DomainError("lifting failure: block action not in the top factor")

@@ -143,3 +143,44 @@ def test_catalogs_up_to_72_are_pinned():
         cat = enumerate_srings(n)
         digest.update(json.dumps([n, [r.cells for r in cat], list(cat.provenance)]).encode())
     assert digest.hexdigest().startswith("12bf3462f2c9433c")
+
+
+def test_gathered_keys_are_least_point_maps():
+    # every product the closure pairs for n <= 48: the key gathered from
+    # the factors' least-point rows is the least-point map of the product
+    import numpy as np
+
+    from circulant import catalog
+    from circulant.sring import canonical_partition, generalized_wreath_partition
+
+    products = 0
+    for n in range(2, 49):
+        for sec, i, js in catalog._gwp_pairs(n):
+            cat_u, cat_q = enumerate_srings(sec.u), enumerate_srings(n // sec.l)
+            keys = catalog._gwp_keys(cat_u.least_points[i], cat_q.least_points[js], sec)
+            for j, key in zip(js, keys):
+                cells = canonical_partition(
+                    generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec))
+                assert np.array_equal(key, catalog._least_points(n, cells)), (sec, i, j)
+                products += 1
+    assert products > 5702
+
+
+def test_closure_builds_only_new_products(monkeypatch):
+    # one closure pass at n = 48 over cached smaller catalogs builds one
+    # gwp partition per gwp entry it keeps (5,702 before products were
+    # keyed by their least-point maps)
+    from circulant import catalog
+
+    cached = enumerate_srings(48)
+    calls = []
+    build = catalog.generalized_wreath_partition
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(catalog, "generalized_wreath_partition", counted)
+    again = catalog._enumerate_cached.__wrapped__(48)
+    assert again == cached
+    assert len(calls) == sum(how.startswith("gwp(") for how in cached.provenance) == 947

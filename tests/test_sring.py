@@ -36,6 +36,8 @@ def test_validate_examples():
         validate(4, [[0, 2], [1, 3]])
     with pytest.raises(DomainError, match="structure constants"):
         validate(8, [[0], [1, 7], [2, 3, 5, 6], [4]])
+    with pytest.raises(DomainError, match="empty cell"):
+        validate(4, [[0], [1, 3], [2], []])
 
 
 def pairwise_check(n, partition):

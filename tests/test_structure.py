@@ -253,6 +253,23 @@ def test_canonical_gwp_projection_restriction_order():
         assert g.order() == d0.order() * kernel.order() ** (sec.n // sec.u)
 
 
+def test_canonical_gwp_tables_only_the_lifted_actions():
+    # Aut(A_U) induces Sym(8) on U/L, more elements than the action table
+    # may hold; the lifts need preimages of d_0's block actions only
+    from circulant import validate
+    from circulant.perm import INDUCED_TABLE_LIMIT
+
+    ring = validate(32, [[0], range(1, 32, 2), [x for x in range(2, 32, 2) if x != 16], [16]])
+    sec = Section(32, 16, 2)
+    du = aut_group(section_ring(ring, Section(32, 16, 1)))
+    d0 = aut_group(section_ring(ring, Section(32, 32, 2)))
+    assert induced_on_section(du, Section(16, 16, 2)).order() == math.factorial(8)
+    assert math.factorial(8) > INDUCED_TABLE_LIMIT
+    g = canonical_gwp(du, d0, sec)
+    kernel = kernel_on_blocks(du, [[y for y in range(16) if y % 8 == c] for c in range(8)])
+    assert g.order() == d0.order() * kernel.order() ** 2 == 213_084_064_972_800
+
+
 def test_canonical_gwp_mismatch_errors():
     # translations of Z_9 induce Z_3 on S; Hol(Z_6) induces Sym(3)
     with pytest.raises(DomainError, match="induced section actions differ"):
