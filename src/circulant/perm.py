@@ -438,7 +438,7 @@ def translations(n: int) -> PermGroup:
     """The regular group of translations of Z_n."""
     if n == 1:
         return trivial_group(1)
-    return PermGroup(n, [translation(n, 1)])
+    return PermGroup(n, [translation(n, 1)], chain=translation_chain(n))
 
 
 def symmetric(n: int) -> PermGroup:
@@ -447,7 +447,7 @@ def symmetric(n: int) -> PermGroup:
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return PermGroup(n, gens)
+    return PermGroup(n, gens, chain=symmetric_chain(n))
 
 
 def unit_generators(m: int) -> tuple[int, ...]:
@@ -625,26 +625,17 @@ def two_equivalent(g1: PermGroup, g2: PermGroup) -> bool:
     return bool(np.array_equal(two_orbits(g1), two_orbits(g2)))
 
 
-def _coset_invariant(g: Perm, n: int, modulus: int) -> bool:
-    """Whether g permutes the residue classes mod ``modulus`` of Z_n."""
-    image = [-1] * modulus
-    for x in range(n):
-        c = x % modulus
-        d = g[x] % modulus
-        if image[c] == -1:
-            image[c] = d
-        elif image[c] != d:
-            return False
-    return True
-
-
 def _check_section(group: PermGroup, sec: Section) -> None:
     n = sec.n
     if group.degree != n:
         raise DomainError(f"group degree {group.degree} does not match section modulus {n}")
-    for g in group.generators:
-        if not (_coset_invariant(g, n, n // sec.u) and _coset_invariant(g, n, n // sec.l)):
-            raise DomainError(f"section not invariant under generator {g}")
+    # g permutes the residue classes mod m iff g(x + m) = g(x) mod m for all x
+    perms = np.array(group.generators, dtype=np.intp).reshape(-1, n)
+    moved = sum(((np.roll(perms, -m, axis=1) - perms) % m).any(axis=1)
+                for m in (n // sec.u, n // sec.l))
+    if moved.any():
+        raise DomainError(
+            f"section not invariant under generator {group.generators[moved.argmax()]}")
     step = translation(n, 1)
     if step not in group.generators and not group.contains(step):
         raise DomainError("the group does not contain x -> x+1")

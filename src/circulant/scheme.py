@@ -54,7 +54,7 @@ from .perm import (
     translation_chain,
     two_equivalent,
 )
-from .sring import SRing, classify, rolled_cells, section_ring
+from .sring import SRing, rolled_cells, s_condition_holds, section_ring, subgroup_lattice
 from .zn import Section
 
 DEFAULT_AUT_MAX_N = 5000
@@ -409,8 +409,8 @@ def nonschurity_criterion(ring: SRing, sec: Section, *,
     if ring.n != n:
         raise DomainError("section does not match the ring modulus")
     if l > 1 and u < n:
-        flags = classify(ring)
-        if (u, l) not in flags.proper_gwp_sections:
+        lattice = subgroup_lattice(ring)
+        if not (u in lattice and l in lattice and s_condition_holds(ring, u, l)):
             raise DomainError(
                 f"ring does not satisfy the U/L-condition for (u={u}, l={l})")
 

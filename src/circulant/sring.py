@@ -380,21 +380,15 @@ def internal_product_partition(m: int, left: SRing, right: SRing) -> tuple[tuple
 
 
 def radical_of_set(n: int, xs) -> int:
-    """Order of the largest subgroup H with H + X = X (the radical of X)."""
+    """Order of the largest subgroup H with H + X = X (the radical of X).
+    The stabilizer of X is a subgroup of Z_n, so this is the largest d | n
+    with X + n/d = X."""
     check_modulus(n)
-    xs = set(x % n for x in xs)
+    xs = {x % n for x in xs}
     if not xs:
         raise DomainError("radical of the empty set is undefined")
-    mask = 0
-    for x in xs:
-        mask |= 1 << x
-    full = (1 << n) - 1
-    stab = 0
-    for g in range(n):
-        rotated = ((mask << g) & full) | (mask >> (n - g)) if g else mask
-        if rotated == mask:
-            stab += 1
-    return stab
+    return next(d for d in reversed(divisors(n))
+                if all((x + n // d) % n in xs for x in xs))
 
 
 def radical(ring: SRing) -> int:

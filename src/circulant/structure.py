@@ -6,6 +6,7 @@ permutation groups, and the singularity-resolution recursion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import BudgetError, DomainError
 from .perm import (
@@ -52,16 +53,6 @@ class ProjClass:
         return (self.order, self.s_min.u, self.s_min.l)
 
 
-def _all_sections(ring: SRing) -> list[Section]:
-    lattice = subgroup_lattice(ring)
-    out = []
-    for u in lattice:
-        for l in lattice:
-            if u % l == 0:
-                out.append(Section(ring.n, u, l))
-    return out
-
-
 def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
     """Decomposition conditions for the extremal pair: the ring satisfies
     both section conditions, and the ring induced on U1/L0 is the product
@@ -77,48 +68,45 @@ def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
 
 
 def proj_classes(ring: SRing) -> list[ProjClass]:
-    """All A-sections grouped by the transitive closure of the multiple
-    relation, with verified extremal members, sorted by (order, s_min)."""
-    sections = _all_sections(ring)
-    k = len(sections)
-    parent = list(range(k))
+    """All A-sections grouped into classes of projectively equivalent
+    sections, sorted by (order, s_min).
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if is_multiple(sections[i], sections[j]) or is_multiple(sections[j], sections[i]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    groups: dict[int, list[Section]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(sections[i])
+    The A-subgroup orders form a distributive lattice under gcd and lcm, so
+    the d | u with lcm(l, d) = u are closed under gcd and the d with l | d
+    and gcd(d, u) = l under lcm.  U/L is thus a multiple of a least section
+    s_min = (r, gcd(l, r)), r the gcd of the first set, and has a greatest
+    multiple s_max = (lcm(u, b), b), b the lcm of the second; two sections
+    are projectively equivalent iff they share both."""
+    lattice = subgroup_lattice(ring)
+    sections: dict[tuple[int, int], Section] = {}
+    classes: dict[tuple[tuple[int, int], tuple[int, int]], list[Section]] = {}
+    for u in lattice:
+        below = [d for d in lattice if u % d == 0]
+        for l in below:
+            r = 0
+            for d in below:
+                if lcm(l, d) == u:
+                    r = gcd(r, d)
+            b = l
+            for d in lattice:
+                if d % l == 0 and gcd(d, u) == l:
+                    b = lcm(b, d)
+            sec = sections[u, l] = Section(ring.n, u, l)
+            classes.setdefault(((r, gcd(l, r)), (lcm(u, b), b)), []).append(sec)
 
     out = []
-    for members in groups.values():
-        orders = {sec.order for sec in members}
-        if len(orders) != 1:
-            raise AssertionError("projectively equivalent sections with unequal orders")
-        order = orders.pop()
-        s_min = next((m for m in members if all(is_multiple(x, m) for x in members)), None)
-        s_max = next((m for m in members if all(is_multiple(m, x) for x in members)), None)
-        if s_min is None or s_max is None:
+    for (least, greatest), members in classes.items():
+        s_min, s_max = sections[least], sections[greatest]
+        if not all(is_multiple(m, s_min) and is_multiple(s_max, m) for m in members):
             raise AssertionError(
                 f"class without extremal elements: {[(m.u, m.l) for m in members]}")
+        order = s_min.order
         ring_s = section_ring(ring, s_min)
-        lattice_s = subgroup_lattice(ring_s)
-        primitive = order > 1 and lattice_s == (1, order)
+        primitive = order > 1 and subgroup_lattice(ring_s) == (1, order)
         isolated = order > 1 and _pair_is_isolated(ring, s_min, s_max)
         singular = ring_s.rank == 2 and order > 2 and isolated
         out.append(ProjClass(
-            sections=tuple(sorted(members, key=lambda s: (s.u, s.l))),
-            s_min=s_min, s_max=s_max, order=order,
+            sections=tuple(members), s_min=s_min, s_max=s_max, order=order,
             rank=ring_s.rank, primitive=primitive,
             isolated=isolated, singular=singular,
         ))
@@ -311,8 +299,7 @@ class ResolveResult:
 
 
 def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
-            node_budget: int = DEFAULT_NODE_BUDGET,
-            verify_max_n: int = DEFAULT_AUT_MAX_N) -> ResolveResult:
+            node_budget: int = DEFAULT_NODE_BUDGET) -> ResolveResult:
     """A subgroup of Sym(Z_n) that is 2-equivalent to Aut(ring) for
     schurian rings, built by resolving prime-order singular classes.
 
@@ -322,13 +309,11 @@ def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
     joined with the Gwr group of the class for M = Hol(S).
     """
     group = _resolve_group(ring, aut_max_n, node_budget)
-    verified = None
-    if ring.n <= verify_max_n:
-        try:
-            verified = two_equivalent(group, aut_group(
-                ring, max_n=aut_max_n, node_budget=node_budget))
-        except BudgetError:
-            verified = None
+    try:
+        verified = two_equivalent(group, aut_group(
+            ring, max_n=aut_max_n, node_budget=node_budget))
+    except BudgetError:
+        verified = None
     return ResolveResult(group=group, verified=verified)
 
 

@@ -19,11 +19,11 @@ from .errors import DomainError
 MAX_MODULUS = 100_000
 
 
-def check_modulus(n: int, limit: int = MAX_MODULUS) -> None:
+def check_modulus(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"modulus must be a positive integer, got {n!r}")
-    if n > limit:
-        raise DomainError(f"modulus {n} exceeds the configured limit {limit}")
+    if n > MAX_MODULUS:
+        raise DomainError(f"modulus {n} exceeds the configured limit {MAX_MODULUS}")
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -39,8 +40,8 @@ from circulant.perm import (
     section_action,
     unit_generators,
 )
-from circulant.sring import cyclotomic, section_ring
-from circulant.structure import _all_sections, canonical_gwp
+from circulant.sring import cyclotomic, section_ring, subgroup_lattice
+from circulant.structure import canonical_gwp
 
 
 def test_perm_basics():
@@ -99,19 +100,27 @@ def test_prescribed_base_chain():
 
 
 def test_assembled_chains_make_levels_on_demand():
+    # the oracles are generic Schreier-Sims chains of the same generators
     trans = translation_chain(5)
     assert trans.order() == 5
-    assert set(trans.elements()) == set(translations(5).elements())
+    assert set(trans.elements()) == set(PermGroup(5, translations(5).generators).elements())
     assert trans.contains(translation(5, 3))
     assert not trans.contains((1, 0, 2, 3, 4))
     sym = symmetric_chain(5)
+    generic_sym = PermGroup(5, symmetric(5).generators)
     assert sym.order() == 120
-    assert set(sym.elements()) == set(symmetric(5).elements())
-    assert all(sym.contains(g) for g in symmetric(5).elements())
+    assert set(sym.elements()) == set(generic_sym.elements())
+    assert all(sym.contains(g) for g in generic_sym.elements())
     assert symmetric_chain(2).order() == 2
     for chain in (trans, sym):
         with pytest.raises(TypeError):
             chain.insert((1, 0, 2, 3, 4))
+
+
+def test_symmetric_and_translations_use_implicit_chains():
+    assert symmetric(200).order() == math.factorial(200)
+    assert translations(2000).order() == 2000
+    assert symmetric(2).order() == 2 and translations(1).order() == 1
 
 
 def pair_bfs_two_orbits(group):
@@ -248,6 +257,35 @@ def test_induced_on_section_examples():
     assert groups_equal(induced_on_section(dihedral, Section(6, 3, 1)), symmetric(3))
 
 
+def test_section_check_matches_a_loop_over_residues():
+    # reference: g permutes the residue classes mod m iff the class of g(x)
+    # depends only on the class of x
+    def permutes_classes(g, m):
+        image = {}
+        return all(image.setdefault(x % m, y % m) == y % m for x, y in enumerate(g))
+
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.choice([4, 6, 8, 9, 12, 16, 18, 24])
+        ds = [d for d in range(1, n + 1) if n % d == 0]
+        u = rng.choice(ds)
+        sec = Section(n, u, rng.choice([d for d in ds if u % d == 0]))
+        # a permutation that maps the classes mod m onto each other
+        m = rng.choice(ds)
+        targets = rng.sample(range(m), m)
+        g = [0] * n
+        for c in range(m):
+            images = rng.sample(range(targets[c], n, m), n // m)
+            for x, y in zip(range(c, n, m), images):
+                g[x] = y
+        group = PermGroup(n, [translation(n, 1), tuple(g)])
+        if permutes_classes(g, n // sec.u) and permutes_classes(g, n // sec.l):
+            induced_on_section(group, sec)
+        else:
+            with pytest.raises(DomainError, match="section not invariant"):
+                induced_on_section(group, sec)
+
+
 def schreier_generators(generators, sec):
     """The degree-n route: every Schreier generator t_j g t_k^-1 of the
     setwise stabilizer of U, for k = g(j) mod n/u, built in full."""
@@ -315,7 +353,8 @@ def test_section_actions_match_the_degree_n_route():
     products = 0
     for n in range(2, 25):
         for ring in enumerate_srings(n):
-            sections = _all_sections(ring)
+            lattice = subgroup_lattice(ring)
+            sections = [Section(n, u, l) for u in lattice for l in lattice if u % l == 0]
             for group in (aut_group(ring), resolve(ring).group):
                 for sec in sections:
                     assert (induced_on_section(group, sec).generators

@@ -259,19 +259,21 @@ def test_radical_examples(z9_fixture):
 
 
 def test_radical_of_set_oracle():
-    # brute force: largest divisor d whose subgroup stabilizes X
+    # brute force: largest divisor d whose subgroup stabilizes X, and the
+    # number of g with X + g = X
     from circulant import subgroup_elements
 
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randrange(2, 40)
-        xs = set(rng.sample(range(n), rng.randrange(1, n)))
+    for _ in range(200):
+        n = rng.randrange(1, 61)
+        xs = set(rng.sample(range(n), rng.randrange(1, n + 1)))
         best = 1
         for d in divisors(n):
             sub = subgroup_elements(n, d)
             if all({(x + g) % n for g in sub} <= xs for x in xs):
                 best = max(best, d)
-        assert radical_of_set(n, xs) == best
+        stab = sum({(x + g) % n for x in xs} == xs for g in range(n))
+        assert radical_of_set(n, xs) == best == stab, (n, sorted(xs))
 
 
 def test_subgroup_lattice_examples(z9_fixture):

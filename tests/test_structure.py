@@ -7,6 +7,7 @@ from circulant import (
     Section,
     aut_group,
     cyclotomic,
+    enumerate_srings,
     ext,
     generalized_wreath,
     group_ring,
@@ -28,6 +29,7 @@ from circulant import (
     canonical_gwp,
 )
 from circulant.perm import groups_equal, kernel_on_blocks
+from circulant.structure import ProjClass, _pair_is_isolated
 from circulant.scheme import color_matrix
 import numpy as np
 
@@ -51,6 +53,57 @@ def test_proj_classes_fixture(z9_fixture):
     assert {(cl.s_min.u, cl.s_min.l) for cl in small} == {(3, 1), (9, 3)}
     for cl in small:
         assert cl.s_min == cl.s_max and cl.rank == 2 and cl.primitive
+
+
+def pairwise_closure_classes(ring):
+    """Reference classes: the transitive closure of the multiple relation
+    over every pair of A-sections, extremal members found by search."""
+    lattice = subgroup_lattice(ring)
+    sections = [Section(ring.n, u, l) for u in lattice for l in lattice if u % l == 0]
+    k = len(sections)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if is_multiple(sections[i], sections[j]) or is_multiple(sections[j], sections[i]):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(sections[i])
+
+    out = []
+    for members in groups.values():
+        orders = {sec.order for sec in members}
+        assert len(orders) == 1
+        order = orders.pop()
+        s_min = next(m for m in members if all(is_multiple(x, m) for x in members))
+        s_max = next(m for m in members if all(is_multiple(m, x) for x in members))
+        ring_s = section_ring(ring, s_min)
+        primitive = order > 1 and subgroup_lattice(ring_s) == (1, order)
+        isolated = order > 1 and _pair_is_isolated(ring, s_min, s_max)
+        out.append(ProjClass(
+            sections=tuple(sorted(members, key=lambda s: (s.u, s.l))),
+            s_min=s_min, s_max=s_max, order=order,
+            rank=ring_s.rank, primitive=primitive, isolated=isolated,
+            singular=ring_s.rank == 2 and order > 2 and isolated,
+        ))
+    out.sort(key=ProjClass.sort_key)
+    return out
+
+
+def test_proj_classes_match_pairwise_closure():
+    rings = [ring for n in range(1, 73) for ring in enumerate_srings(n)]
+    for ring in rings + [group_ring(720), group_ring(2520)]:
+        assert proj_classes(ring) == pairwise_closure_classes(ring), ring.cells
 
 
 def test_proj_classes_extremal_members():
