@@ -26,6 +26,7 @@ from .sring import (
     subgroup_lattice,
     tensor,
     validate,
+    validate_batch,
     wreath,
 )
 from .perm import (
@@ -73,7 +74,8 @@ __all__ = [
     "subgroup_elements", "unit_orbits",
     "Classification", "SRing", "classify", "cyclotomic", "generalized_wreath",
     "group_ring", "multiplier_image", "radical", "radical_of_set", "rank2",
-    "section_ring", "subgroup_lattice", "tensor", "validate", "wreath",
+    "section_ring", "subgroup_lattice", "tensor", "validate",
+    "validate_batch", "wreath",
     "PermGroup", "holomorph", "induced_on_section", "intersect",
     "kernel_on_blocks", "preimage_with_induced", "symmetric", "translations",
     "two_equivalent", "two_orbits",

@@ -13,7 +13,9 @@ generalized wreath product needs no partition: it is
 scale * least_left[x // scale] at the points x of U (scale = n/u) and
 least_right[x mod n/l] elsewhere, one gather over the least-point rows of
 the factors' catalogs.
-A product is built, canonicalized and validated only when its key is new.
+A product is built and canonicalized only when its key is new, and the
+new rings at n (seeds, then tensors, then generalized wreath products; the
+first with a key wins) are checked in one validate_batch call.
 Completeness rests on the radical dichotomy (a ring is either a proper
 generalized wreath product or a tensor product of a normal ring and rank-2
 rings, and normal rings are cyclotomic) and is certified against the
@@ -43,6 +45,7 @@ from .sring import (
     subgroup_lattice,
     tensor_partition,
     validate,
+    validate_batch,
 )
 from .zn import (
     Section,
@@ -54,6 +57,7 @@ from .zn import (
     multiplicative_closure,
     multiplicative_order,
     unit_group,
+    unit_orbits,
 )
 
 BRUTE_FORCE_MAX_N = 13
@@ -133,16 +137,16 @@ def enumerate_srings(n: int, limit: int = ENUMERATE_MAX_N) -> Catalog:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> Catalog:
-    # least-point map bytes -> (ring, provenance); an equal key is the
-    # same ring, already validated
-    found: dict[bytes, tuple[SRing, str]] = {}
+    # least-point map bytes -> (cells, provenance) of each ring, seeds
+    # first, then tensors, then gwp; an equal key is the same ring
+    found: dict[bytes, tuple[tuple[tuple[int, ...], ...], str]] = {}
 
-    def add(ring: SRing, how: str) -> None:
-        found.setdefault(_least_points(n, ring.cells).tobytes(), (ring, how))
+    def add(cells, how: str) -> None:
+        found.setdefault(_least_points(n, cells).tobytes(), (cells, how))
 
     for K in _unit_subgroups(n):
-        add(cyclotomic(n, tuple(sorted(K))), f"seed:cyc({sorted(K)})")
-    add(rank2(n), "seed:rank2")
+        add(unit_orbits(n, tuple(sorted(K))), f"seed:cyc({sorted(K)})")
+    add(rank2(n).cells, "seed:rank2")
 
     for a in divisors(n):
         b = n // a
@@ -150,10 +154,8 @@ def _enumerate_cached(n: int) -> Catalog:
             continue
         for i, left in enumerate(_enumerate_cached(a).entries):
             for j, right in enumerate(_enumerate_cached(b).entries):
-                cells = canonical_partition(tensor_partition(left, right))
-                key = _least_points(n, cells).tobytes()
-                if key not in found:
-                    found[key] = (validate(n, cells), f"tensor({a}#{i},{b}#{j})")
+                add(canonical_partition(tensor_partition(left, right)),
+                    f"tensor({a}#{i},{b}#{j})")
 
     for sec, i, js in _gwp_pairs(n):
         u, l = sec.u, sec.l
@@ -166,9 +168,11 @@ def _enumerate_cached(n: int) -> Catalog:
             cells = canonical_partition(
                 generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec))
             assert np.array_equal(_least_points(n, cells), row), (sec, i, j)
-            found[key] = (validate(n, cells), f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
+            found[key] = (cells, f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
 
-    entries = sorted(found.values(), key=lambda e: (e[0].rank, e[0].cells))
+    rings = validate_batch(n, [cells for cells, _ in found.values()])
+    entries = sorted(zip(rings, [how for _, how in found.values()]),
+                     key=lambda e: (e[0].rank, e[0].cells))
     return Catalog(n, tuple(ring for ring, _ in entries), tuple(how for _, how in entries))
 
 

@@ -3,11 +3,16 @@
 An S-ring is stored as its basic-set partition in canonical form: each
 cell sorted ascending, cells ordered by minimum element.  Canonical form
 defines equality and hashing, and every constructor canonicalizes on
-output.  The structure-constant axiom is checked exactly, a block of
-whole cells at a time: for every point z the multiset of cells of z - x,
-x in a cell X, must be the same as at the least point of z's cell, which
-compares the counts for X and every Y at once.  Each block is a few numpy
-calls on temporaries of a fixed size, whatever n or the cell sizes.
+output.  The axioms are checked exactly by validate_batch, a slab of whole
+rings over one Z_n at a time (validate is the batch of one).  After a
+few tests per partition in Python (cell sizes, range, the identity cell),
+coverage and inverse closure are array tests over the rings' stacked
+least-point maps.  For the structure constants, the multiset of
+(cell of x, cell of z - x) over all x must be the same at every point z
+as at the least point of z's cell, which compares every count c_XY at z
+at once: one sort of the rows [ring, z, x] per slab.  A ring too large
+for a slab is checked alone, a block of whole cells at a time.  Every
+temporary has a fixed size, whatever n or the cell sizes.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -34,7 +40,9 @@ from .zn import (
 def canonical_partition(partition) -> tuple[tuple[int, ...], ...]:
     cells = [tuple(sorted(cell)) for cell in partition]
     cells.sort(key=lambda c: c[0])
-    return tuple(cells)
+    cells = tuple(cells)
+    # keep a canonical input itself, so a batch holds one copy of each ring
+    return partition if cells == partition else cells
 
 
 @dataclass(frozen=True)
@@ -98,41 +106,99 @@ class SRing:
 def validate(n: int, partition) -> SRing:
     """Check the S-ring axioms and return the canonicalized ring.
 
-    Raises DomainError naming a witness if the identity cell is not {0},
+    Raises DomainError naming a witness if a cell is empty, a point is out
+    of range or not covered exactly once, the identity cell is not {0},
     some cell's negation is not a cell, or the convolution of two cells is
     not constant on some cell.
     """
-    check_modulus(n)
-    if any(len(cell) == 0 for cell in partition):
-        raise DomainError("empty cell")
-    cells = canonical_partition(partition)
-    seen = [False] * n
-    for cell in cells:
-        for x in cell:
-            if not 0 <= x < n:
-                raise DomainError(f"element {x} out of range for Z_{n}")
-            if seen[x]:
-                raise DomainError(f"element {x} covered twice")
-            seen[x] = True
-    if not all(seen):
-        missing = seen.index(False)
-        raise DomainError(f"element {missing} not covered")
-    if cells[0] != (0,):
-        raise DomainError("identity not singleton: the cell of 0 must be {0}")
+    return validate_batch(n, [partition])[0]
 
+
+def validate_batch(n: int, partitions) -> list[SRing]:
+    """validate(n, p) for each partition p, in order, checked a slab of
+    whole rings at a time.  Raises the DomainError that validate raises
+    for the first partition that fails."""
+    check_modulus(n)
+    rings, error = [], None
+    for partition in partitions:
+        if any(len(cell) == 0 for cell in partition):
+            error = "empty cell"
+            break
+        cells = canonical_partition(partition)
+        # n points in range, the least of them 0 and alone in its cell;
+        # the slab checks the rest
+        if (cells[0][0] != 0 or len(cells[0]) != 1 or max(cell[-1] for cell in cells) >= n
+                or sum(map(len, cells)) != n):
+            error = _axiom_error(n, cells)
+            break
+        rings.append(SRing(n, cells))
+    per = max(1, _SLAB_ENTRIES // (n * n))
+    for start in range(0, len(rings), per):
+        _check_slab(rings[start:start + per])
+    if error is not None:
+        raise DomainError(error)
+    return rings
+
+
+# entries of the rows of a slab of whole rings (n * n each), and of each
+# block of a ring too large for a slab (4 MB as int32)
+_SLAB_ENTRIES = 1 << 16
+_CHECK_ENTRIES = 1 << 20
+
+
+def _check_slab(rings: list[SRing]) -> None:
+    """Raise the DomainError of the first ring that fails an axiom, for
+    rings over one Z_n of n points each, all in range, with {0} a cell.
+
+    The cells are stacked into per-ring maps: cell[x] = x's cell and
+    least[x] = the least point of x's cell, which is left at -1 for a
+    point not covered, the trace of another covered twice.  Negation maps
+    each cell onto a cell when least[-x] = least[-least[x]] for all x:
+    then each cell goes into one cell, and so, negation being a
+    bijection, onto it.
+    """
+    n, k = rings[0].n, len(rings)
+    cells = [cell for ring in rings for cell in ring.cells]
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    at = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=k * n)
+    at += np.arange(0, k * n, n).repeat(n)
+    cell, least = np.full((2, k, n), -1, dtype=np.int64)
+    cell.flat[at] = np.fromiter(chain.from_iterable(range(ring.rank) for ring in rings),
+                                dtype=np.int64, count=len(cells)).repeat(sizes)
+    least.flat[at] = np.fromiter((c[0] for c in cells), dtype=np.int64,
+                                 count=len(cells)).repeat(sizes)
+    neg = np.arange(n, 0, -1) % n
+    ok = ((least >= 0)
+          & (least[:, neg] == least[np.arange(k)[:, None], neg[least]])).all(axis=1)
+    bad = int(ok.argmin())
+    if ok[bad]:
+        bad = k
+    if bad:
+        _check_structure_constants(rings[:bad], cell[:bad], least[:bad])
+    if bad < k:
+        raise DomainError(_axiom_error(n, rings[bad].cells))
+
+
+def _axiom_error(n: int, cells) -> str:
+    """The message for canonical cells that fail an axiom other than the
+    structure constants: the first failure in the order points, identity,
+    inverses."""
+    seen = set()
+    for x in chain.from_iterable(cells):
+        if not 0 <= x < n:
+            return f"element {x} out of range for Z_{n}"
+        if x in seen:
+            return f"element {x} covered twice"
+        seen.add(x)
+    if len(seen) < n:
+        return f"element {min(set(range(n)) - seen)} not covered"
+    if cells[0] != (0,):
+        return "identity not singleton: the cell of 0 must be {0}"
     cell_set = set(cells)
     for cell in cells:
-        neg = tuple(sorted((-x) % n for x in cell))
-        if neg not in cell_set:
-            raise DomainError(f"not inverse-closed: -{set(cell)} is not a cell")
-
-    ring = SRing(n, cells)
-    _check_structure_constants(ring)
-    return ring
-
-
-# entries of each temporary array of the structure-constant check (4 MB as int32)
-_CHECK_ENTRIES = 1 << 20
+        if tuple(sorted(-x % n for x in cell)) not in cell_set:
+            return f"not inverse-closed: -{set(cell)} is not a cell"
+    raise AssertionError(f"cells over Z_{n} fail the array checks but no axiom")
 
 
 def _points(ring: SRing) -> np.ndarray:
@@ -153,6 +219,16 @@ def rolled_cells(ring: SRing, dtype) -> np.ndarray:
                                            writeable=False)
 
 
+def _differences(cell: np.ndarray) -> np.ndarray:
+    """A view of shape (k, n, n) of the (k, n) maps cell, with
+    [r, z, x] = cell[r, z - x mod n]."""
+    k, n = cell.shape
+    doubled = np.concatenate([cell, cell], axis=1)
+    ring_step, step = doubled.strides
+    return np.ndarray((k, n, n), dtype=cell.dtype, buffer=doubled, offset=n * step,
+                      strides=(ring_step, step, -step))
+
+
 def _cell_blocks(ring: SRing):
     """(lo, hi) runs of consecutive cells whose points times n fit in
     _CHECK_ENTRIES; a cell too large for that is a run of its own."""
@@ -166,49 +242,71 @@ def _cell_blocks(ring: SRing):
         lo = hi
 
 
-def _check_structure_constants(ring: SRing) -> None:
+def _check_structure_constants(rings: list[SRing], cell: np.ndarray, least: np.ndarray) -> None:
     """For all cells X, Y the count of (x, y) in X x Y with x + y = z must
     be constant as z ranges over any one cell.
 
     That count is the multiplicity of Y among the cells of z - x, x in X.
-    So for a block of whole cells X, column z of the rows rolled[n - x]
-    (x in X, each tagged with X's place in the block) sorts to the same
-    column as the least point of z's cell exactly when every count with
-    such an X is constant on z's cell.  Columns are taken in chunks when
-    one cell alone fills a block.  On failure the counts are recomputed
-    for the least failing X, which is the first cell the pairwise check
-    in order (X, Y) with X <= Y would reject, since c_XY = c_YX.
+    So the row [z, x] = cell of z - x, tagged by the cell of x, sorts over
+    x to the same row as at least[z] exactly when every count is constant
+    on z's cell.  Whole rings are stacked as rows [ring, z, x] and sorted
+    in one call.  A ring whose n * n exceeds a slab is taken alone, as the
+    columns z of rows [x, z] with x in a block of whole cells, sorted over
+    x; when one cell alone fills a block, a chunk of columns at a time
+    with the reference columns it needs.  On failure the counts are
+    recomputed for the least failing X, which is the first cell the
+    pairwise check in order (X, Y) with X <= Y would reject, since
+    c_XY = c_YX.
     """
-    n, rank = ring.n, ring.rank
+    n = rings[0].n
+    ranks = [ring.rank for ring in rings]
     # a tagged entry is below rank * rank; int16 sorts faster where it fits
-    dtype = np.int16 if rank * rank <= 1 << 15 else np.int32
-    window = rolled_cells(ring, dtype)
-    first = np.array([cell[0] for cell in ring.cells], dtype=np.int64)
-    ref = first[window[0]]
-    shifts = n - _points(ring)
-    end = 0
-    for lo, hi in _cell_blocks(ring):
-        sizes = [len(cell) for cell in ring.cells[lo:hi]]
-        block, end = shifts[end:end + sum(sizes)], end + sum(sizes)
-        tags = np.repeat(np.arange(hi - lo, dtype=dtype) * rank, sizes)[:, None]
-        whole = len(block) * n <= _CHECK_ENTRIES
-        step = n if whole else max(1, _CHECK_ENTRIES // (2 * len(block)))
-        for start in range(0, n, step):
-            if whole:
-                rows, cols, ref_cols = window[block], slice(None), ref
-            else:
-                refs = ref[start:start + step]
-                # the columns start.. after the reference columns left of them
-                need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
-                                       np.arange(start, start + len(refs))])
-                rows = window[np.ix_(block, need)]
-                cols, ref_cols = slice(len(need) - len(refs), None), np.searchsorted(need, refs)
-            rows += tags
-            rows.sort(axis=0)
-            bad = rows[:, cols] != rows[:, ref_cols]
-            if bad.any():
-                r = int(np.argmax(bad.any(axis=1)))
-                _raise_first_failure(ring, lo + int(rows[r, -1]) // rank)
+    dtype = np.int16 if max(ranks) ** 2 <= 1 << 15 else np.int32
+    rank = np.array(ranks, dtype=dtype)
+    cell = cell.astype(dtype)
+    tags = cell * rank[:, None]
+    if n * n <= _SLAB_ENTRIES:
+        rows = _differences(cell) + tags[:, None, :]
+        rows.sort(axis=2)
+        ref = rows[np.arange(len(rings))[:, None], least]
+        if (rows != ref).any():
+            r = int(np.argmax((rows != ref).any(axis=(1, 2))))
+            _raise_first_failure(rings[r], _least_failing_cell(rows[r], ref[r], rank[r]))
+        return
+    for r, ring in enumerate(rings):
+        window, points, end = rolled_cells(ring, dtype), _points(ring), 0
+        for lo, hi in _cell_blocks(ring):
+            size = sum(len(c) for c in ring.cells[lo:hi])
+            xs, end = points[end:end + size], end + size
+            tag = tags[r, xs][:, None]
+            whole = size * n <= _CHECK_ENTRIES
+            step = n if whole else max(1, _CHECK_ENTRIES // (2 * size))
+            for start in range(0, n, step):
+                # rows [x, z] = window[n - x][z], sorted over x
+                if whole:
+                    rows, cols, ref_cols = window[n - xs], slice(None), least[r]
+                else:
+                    refs = least[r, start:start + step]
+                    # the columns start.. after the reference columns left of them
+                    need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
+                                           np.arange(start, start + len(refs))])
+                    rows = window[np.ix_(n - xs, need)]
+                    cols = slice(len(need) - len(refs), None)
+                    ref_cols = np.searchsorted(need, refs)
+                rows += tag
+                rows.sort(axis=0)
+                if not np.array_equal(rows[:, cols], rows[:, ref_cols]):
+                    _raise_first_failure(ring, _least_failing_cell(
+                        rows[:, cols].T, rows[:, ref_cols].T, rank[r]))
+
+
+def _least_failing_cell(rows: np.ndarray, ref: np.ndarray, rank: int) -> int:
+    """The least cell X with a count that differs between a sorted row and
+    its reference row.  Every row holds |X| entries tagged X for each X
+    it covers, so sorted rows put X's entries in the same columns, and the
+    first column where any two differ is one of the least such X."""
+    column = int(np.argmax((rows != ref).any(axis=0)))
+    return int(rows[0, column]) // int(rank)
 
 
 def _raise_first_failure(ring: SRing, i: int) -> None:
@@ -299,19 +397,18 @@ def _section_ring_cached(ring: SRing, sec: Section) -> SRing:
     if sec.u not in lattice or sec.l not in lattice:
         raise DomainError(
             f"not an A-section: orders ({sec.u}, {sec.l}) not both in the lattice {lattice}")
-    images = set()
-    covered = [0] * sec.order
-    for cell in ring.cells:
-        if not sec.contains(cell[0]):
-            continue
-        img = tuple(sorted({sec.project(x) for x in cell}))
-        if img not in images:
-            images.add(img)
-            for x in img:
-                covered[x] += 1
+    # U is an A-group, so a basic set lies in U when its least point does;
+    # x in U projects to (x / (n/u)) mod u/l
+    scale, order = ring.n // sec.u, sec.order
+    images = {tuple(sorted({x // scale % order for x in cell}))
+              for cell in ring.cells if cell[0] % scale == 0}
+    covered = [0] * order
+    for img in images:
+        for x in img:
+            covered[x] += 1
     if any(c != 1 for c in covered):
         raise DomainError("section images of basic sets do not form a partition")
-    return SRing(sec.order, canonical_partition(images))
+    return SRing(order, canonical_partition(images))
 
 
 def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:

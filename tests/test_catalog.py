@@ -184,3 +184,53 @@ def test_closure_builds_only_new_products(monkeypatch):
     again = catalog._enumerate_cached.__wrapped__(48)
     assert again == cached
     assert len(calls) == sum(how.startswith("gwp(") for how in cached.provenance) == 947
+
+
+def test_closure_validates_once_per_modulus(monkeypatch):
+    # one closure pass at n = 48 checks every ring it keeps, seeds,
+    # tensors and gwp products, in one validate_batch call, and calls
+    # validate (or cyclotomic, which calls it) not at all
+    from circulant import catalog, sring
+
+    cached = enumerate_srings(48)
+    batches, singles = [], []
+    batch = catalog.validate_batch
+
+    def counted(n, partitions):
+        batches.append((n, list(partitions)))
+        return batch(n, batches[-1][1])
+
+    monkeypatch.setattr(catalog, "validate_batch", counted)
+    monkeypatch.setattr(catalog, "validate", lambda *args: singles.append(args))
+    monkeypatch.setattr(sring, "validate", lambda *args: singles.append(args))
+    again = catalog._enumerate_cached.__wrapped__(48)
+    assert again == cached
+    assert not singles
+    assert [n for n, _ in batches] == [48]
+    partitions = batches[0][1]
+    assert len(partitions) == len(cached)
+    assert set(partitions) == {ring.cells for ring in cached}
+    # in the order seeds, tensors, gwp products
+    kind = dict(zip((ring.cells for ring in cached), cached.provenance))
+    order = [("seed", "tensor", "gwp").index(kind[p].split("(")[0].split(":")[0])
+             for p in partitions]
+    assert order == sorted(order) and set(order) == {0, 1, 2}
+
+
+def test_closure_memory_is_bounded():
+    # one closure pass at n = 60 over cached smaller catalogs peaks at
+    # about 2 MB, most of it the 1,103 rings; each slab of the batched
+    # check is a few arrays of at most 2**16 entries
+    import tracemalloc
+
+    from circulant import catalog
+
+    cached = enumerate_srings(60)
+    tracemalloc.start()
+    try:
+        again = catalog._enumerate_cached.__wrapped__(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == cached
+    assert peak < 4 * 2**20

@@ -20,24 +20,34 @@ from circulant import (
     subgroup_lattice,
     tensor,
     validate,
+    validate_batch,
     wreath,
 )
 from circulant.zn import divisors, multiplicative_closure, unit_group
 from circulant.sring import canonical_partition, internal_product_partition
 
 
+# (n, partition, message) for each axiom validate checks
+BAD_PARTITIONS = [
+    (4, [[0], [1, 3], [2], []], "empty cell"),
+    (4, [[0], [1, 3], [2, 4]], "element 4 out of range for Z_4"),
+    (4, [[0], [-1, 1], [2, 3]], "element -1 out of range for Z_4"),
+    (4, [[0], [1, 3], [2, 3]], "element 3 covered twice"),
+    (3, [[0], [1], [1]], "element 1 covered twice"),
+    (4, [[0], [1, 3]], "element 2 not covered"),
+    (4, [[0, 2], [1, 3]], "identity not singleton: the cell of 0 must be {0}"),
+    (4, [[0], [1], [2, 3]], "not inverse-closed: -{1} is not a cell"),
+    (8, [[0], [1, 7], [2, 3, 5, 6], [4]], "structure constants not constant on cell "
+     "(X=cell1, Y=cell1, cell2): z=3 gets 0, z=2 gets 1"),
+]
+
+
 def test_validate_examples():
     ring = validate(4, [[0], [1, 3], [2]])
     assert ring.cells == ((0,), (1, 3), (2,))
-    with pytest.raises(DomainError, match="inverse-closed"):
-        validate(4, [[0], [1], [2, 3]])
     assert validate(5, [[x] for x in range(5)]).rank == 5
-    with pytest.raises(DomainError, match="identity not singleton"):
-        validate(4, [[0, 2], [1, 3]])
-    with pytest.raises(DomainError, match="structure constants"):
-        validate(8, [[0], [1, 7], [2, 3, 5, 6], [4]])
-    with pytest.raises(DomainError, match="empty cell"):
-        validate(4, [[0], [1, 3], [2], []])
+    for n, partition, message in BAD_PARTITIONS:
+        assert validate_message(n, partition) == message, (n, partition)
 
 
 def pairwise_check(n, partition):
@@ -72,6 +82,28 @@ def validate_message(n, partition):
     return None
 
 
+def batch_message(n, partitions):
+    try:
+        validate_batch(n, partitions)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def check_batch(n, bad, valid, rng):
+    """A batch of valid partitions over Z_n with bad (any partition) and a
+    second corruption among them raises the message of the first that
+    fails, and returns the rings of validate when none does."""
+    before = [rng.choice(valid).cells for _ in range(rng.randint(0, 40))]
+    after = [rng.choice(valid).cells for _ in range(rng.randint(0, 5))]
+    later = merged_cells(rng.choice(valid), rng, 2)
+    batch = before + [bad] + after + [later]
+    expected = validate_message(n, bad) or validate_message(n, later)
+    assert batch_message(n, batch) == expected, (n, bad, later)
+    if expected is None:
+        assert validate_batch(n, batch) == [validate(n, cells) for cells in batch]
+
+
 def merged_cells(ring, rng, merges):
     """The cells of ring with random pairs of non-identity cells merged,
     and their negations merged alike, so the partition stays
@@ -104,13 +136,14 @@ def test_structure_check_matches_pairwise_oracle_on_catalogs():
     for ring in rings:
         assert pairwise_check(ring.n, ring.cells) is None
         assert validate(ring.n, ring.cells) == ring
-    rng = random.Random(20)
+    rng, batch_rng = random.Random(20), random.Random(21)
     invalid = 0
     for _ in range(1200):
         ring = rng.choice(rings)
         cells = merged_cells(ring, rng, rng.randint(1, 2))
         expected = pairwise_check(ring.n, cells)
         assert validate_message(ring.n, cells) == expected, (ring.n, cells)
+        check_batch(ring.n, cells, enumerate_srings(ring.n).entries, batch_rng)
         invalid += expected is not None
     assert invalid >= 800
 
@@ -124,6 +157,41 @@ def test_structure_check_matches_pairwise_oracle(n, rng, merges):
     ring = rng.choice(enumerate_srings(n).entries)
     cells = merged_cells(ring, rng, merges)
     assert validate_message(n, cells) == pairwise_check(n, cells)
+    check_batch(n, cells, enumerate_srings(n).entries, rng)
+
+
+def test_validate_batch_matches_validate_on_catalogs():
+    from circulant import enumerate_srings
+
+    for n in range(1, 73):
+        entries = enumerate_srings(n).entries
+        # cells listed in reverse, so the batch canonicalizes them
+        rings = validate_batch(n, [ring.cells[::-1] for ring in entries])
+        assert rings == [validate(n, ring.cells) for ring in entries] == list(entries)
+
+
+def test_validate_batch_raises_for_the_first_bad_partition():
+    rng = random.Random(22)
+    for n, partition, message in BAD_PARTITIONS:
+        valid = [ring.cells for ring in (group_ring(n), rank2(n), cyclotomic(n, (-1,)))]
+        for _ in range(5):
+            before = rng.choices(valid, k=rng.randint(0, 3))
+            after = rng.choices(valid, k=rng.randint(0, 3))
+            assert batch_message(n, before + [partition] + after) == message
+    # of two bad partitions the first in input order decides, whichever
+    # axiom each fails
+    messages = {}
+    for n, partition, message in BAD_PARTITIONS:
+        if n == 4:
+            messages[message] = partition
+    for first, p in messages.items():
+        for second, q in messages.items():
+            assert batch_message(4, [[[0], [1, 3], [2]], p, q]) == first
+    structure_bad = BAD_PARTITIONS[-1][1]
+    for later in ([[0], [1]], [[0], [1, 7], [2, 6], [3, 5], [4], []],
+                  [[0], [1], [2, 3, 4, 5, 6, 7]], [[0], [1, 7], [2, 6], [3, 5], [3]]):
+        assert batch_message(8, [group_ring(8).cells, structure_bad, later]) \
+            == BAD_PARTITIONS[-1][2]
 
 
 def test_structure_check_matches_pairwise_oracle_on_large_rings():
@@ -141,6 +209,27 @@ def test_structure_check_matches_pairwise_oracle_on_large_rings():
     expected = pairwise_check(1201, cells)
     assert expected is not None and "X=cell1" in expected
     assert validate_message(1201, cells) == expected
+
+
+def test_validate_batch_slab_edges():
+    from circulant import sring
+
+    # 200 * 200 entries fit in a slab of whole rings, and a rank above 181
+    # needs int32 entries
+    assert 200 * 200 <= sring._SLAB_ENTRIES < 1201 * 1201
+    bad = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
+    good = [group_ring(200), rank2(200), cyclotomic(200, (-1,)), cyclotomic(200, (3,))]
+    assert validate_batch(200, [ring.cells for ring in good]) == good
+    batch = [good[0].cells, good[2].cells, bad, good[1].cells]
+    assert batch_message(200, batch) == pairwise_check(200, bad)
+    # a ring too large for a slab is checked alone, in blocks of cells
+    squares = sorted({x * x % 2017 for x in range(1, 2017)})
+    cells = [[0], squares, sorted(set(range(1, 2017)) - set(squares))]
+    assert validate_batch(2017, [cells, rank2(2017).cells]) == [validate(2017, cells), rank2(2017)]
+    bad = [[0], [5, 1196], [x for x in range(1, 1201) if x not in (5, 1196)]]
+    expected = pairwise_check(1201, bad)
+    assert expected is not None and "X=cell1" in expected
+    assert batch_message(1201, [rank2(1201).cells, bad, [[0]]]) == expected
 
 
 def test_validate_memory_is_bounded():
