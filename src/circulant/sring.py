@@ -3,16 +3,16 @@
 An S-ring is stored as its basic-set partition in canonical form: each
 cell sorted ascending, cells ordered by minimum element.  Canonical form
 defines equality and hashing, and every constructor canonicalizes on
-output.  The axioms are checked exactly by validate_batch, a slab of whole
-rings over one Z_n at a time (validate is the batch of one).  After a
-few tests per partition in Python (cell sizes, range, the identity cell),
-coverage and inverse closure are array tests over the rings' stacked
-least-point maps.  For the structure constants, the multiset of
-(cell of x, cell of z - x) over all x must be the same at every point z
-as at the least point of z's cell, which compares every count c_XY at z
-at once: one sort of the rows [ring, z, x] per slab.  A ring too large
-for a slab is checked alone, a block of whole cells at a time.  Every
-temporary has a fixed size, whatever n or the cell sizes.
+output.  The axioms are checked exactly by validate_batch over many
+partitions of one Z_n (validate is the batch of one).  Cells, coverage,
+the identity cell and inverse closure take one pass in Python per
+partition.  The structure constants are checked a slab of whole rings at
+a time: the multiset of (cell of x, cell of z - x) over all x must be the
+same at every point z as at the least point of z's cell, which compares
+every count c_XY at z at once, one sort of the rows [ring, z, x] per
+slab.  A ring too large for a slab is checked alone, a block of whole
+cells at a time.  Every temporary has a fixed size, whatever n or the
+cell sizes.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def validate(n: int, partition) -> SRing:
 
 
 def validate_batch(n: int, partitions) -> list[SRing]:
-    """validate(n, p) for each partition p, in order, checked a slab of
-    whole rings at a time.  Raises the DomainError that validate raises
-    for the first partition that fails."""
+    """validate(n, p) for each partition p, in order, with the structure
+    constants checked a slab of whole rings at a time.  Raises the
+    DomainError that validate raises for the first partition that fails."""
     check_modulus(n)
     rings, error = [], None
     for partition in partitions:
@@ -125,16 +125,13 @@ def validate_batch(n: int, partitions) -> list[SRing]:
             error = "empty cell"
             break
         cells = canonical_partition(partition)
-        # n points in range, the least of them 0 and alone in its cell;
-        # the slab checks the rest
-        if (cells[0][0] != 0 or len(cells[0]) != 1 or max(cell[-1] for cell in cells) >= n
-                or sum(map(len, cells)) != n):
-            error = _axiom_error(n, cells)
+        error = _axiom_error(n, cells)
+        if error is not None:
             break
         rings.append(SRing(n, cells))
     per = max(1, _SLAB_ENTRIES // (n * n))
     for start in range(0, len(rings), per):
-        _check_slab(rings[start:start + per])
+        _check_structure_constants(rings[start:start + per])
     if error is not None:
         raise DomainError(error)
     return rings
@@ -146,59 +143,28 @@ _SLAB_ENTRIES = 1 << 16
 _CHECK_ENTRIES = 1 << 20
 
 
-def _check_slab(rings: list[SRing]) -> None:
-    """Raise the DomainError of the first ring that fails an axiom, for
-    rings over one Z_n of n points each, all in range, with {0} a cell.
-
-    The cells are stacked into per-ring maps: cell[x] = x's cell and
-    least[x] = the least point of x's cell, which is left at -1 for a
-    point not covered, the trace of another covered twice.  Negation maps
-    each cell onto a cell when least[-x] = least[-least[x]] for all x:
-    then each cell goes into one cell, and so, negation being a
-    bijection, onto it.
-    """
-    n, k = rings[0].n, len(rings)
-    cells = [cell for ring in rings for cell in ring.cells]
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    at = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=k * n)
-    at += np.arange(0, k * n, n).repeat(n)
-    cell, least = np.full((2, k, n), -1, dtype=np.int64)
-    cell.flat[at] = np.fromiter(chain.from_iterable(range(ring.rank) for ring in rings),
-                                dtype=np.int64, count=len(cells)).repeat(sizes)
-    least.flat[at] = np.fromiter((c[0] for c in cells), dtype=np.int64,
-                                 count=len(cells)).repeat(sizes)
-    neg = np.arange(n, 0, -1) % n
-    ok = ((least >= 0)
-          & (least[:, neg] == least[np.arange(k)[:, None], neg[least]])).all(axis=1)
-    bad = int(ok.argmin())
-    if ok[bad]:
-        bad = k
-    if bad:
-        _check_structure_constants(rings[:bad], cell[:bad], least[:bad])
-    if bad < k:
-        raise DomainError(_axiom_error(n, rings[bad].cells))
-
-
-def _axiom_error(n: int, cells) -> str:
-    """The message for canonical cells that fail an axiom other than the
-    structure constants: the first failure in the order points, identity,
-    inverses."""
-    seen = set()
-    for x in chain.from_iterable(cells):
-        if not 0 <= x < n:
-            return f"element {x} out of range for Z_{n}"
-        if x in seen:
-            return f"element {x} covered twice"
-        seen.add(x)
-    if len(seen) < n:
-        return f"element {min(set(range(n)) - seen)} not covered"
+def _axiom_error(n: int, cells) -> str | None:
+    """The message for the first axiom other than the structure constants
+    that canonical cells fail, in the order points, identity, inverses;
+    None if they pass them all."""
+    seen = [False] * n
+    for cell in cells:
+        for x in cell:
+            if not 0 <= x < n:
+                return f"element {x} out of range for Z_{n}"
+            if seen[x]:
+                return f"element {x} covered twice"
+            seen[x] = True
+    if not all(seen):
+        return f"element {seen.index(False)} not covered"
     if cells[0] != (0,):
         return "identity not singleton: the cell of 0 must be {0}"
     cell_set = set(cells)
-    for cell in cells:
-        if tuple(sorted(-x % n for x in cell)) not in cell_set:
+    # negation reverses each sorted cell other than {0}
+    for cell in cells[1:]:
+        if tuple([n - x for x in reversed(cell)]) not in cell_set:
             return f"not inverse-closed: -{set(cell)} is not a cell"
-    raise AssertionError(f"cells over Z_{n} fail the array checks but no axiom")
+    return None
 
 
 def _points(ring: SRing) -> np.ndarray:
@@ -242,7 +208,7 @@ def _cell_blocks(ring: SRing):
         lo = hi
 
 
-def _check_structure_constants(rings: list[SRing], cell: np.ndarray, least: np.ndarray) -> None:
+def _check_structure_constants(rings: list[SRing]) -> None:
     """For all cells X, Y the count of (x, y) in X x Y with x + y = z must
     be constant as z ranges over any one cell.
 
@@ -258,7 +224,17 @@ def _check_structure_constants(rings: list[SRing], cell: np.ndarray, least: np.n
     pairwise check in order (X, Y) with X <= Y would reject, since
     c_XY = c_YX.
     """
-    n = rings[0].n
+    n, k = rings[0].n, len(rings)
+    # the per-ring maps cell[x] = x's cell and least[x] = its least point
+    cells = [cell for ring in rings for cell in ring.cells]
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    at = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=k * n)
+    at += np.arange(0, k * n, n).repeat(n)
+    cell, least = np.empty((2, k, n), dtype=np.int64)
+    cell.flat[at] = np.fromiter(chain.from_iterable(range(ring.rank) for ring in rings),
+                                dtype=np.int64, count=len(cells)).repeat(sizes)
+    least.flat[at] = np.fromiter((c[0] for c in cells), dtype=np.int64,
+                                 count=len(cells)).repeat(sizes)
     ranks = [ring.rank for ring in rings]
     # a tagged entry is below rank * rank; int16 sorts faster where it fits
     dtype = np.int16 if max(ranks) ** 2 <= 1 << 15 else np.int32
@@ -268,7 +244,7 @@ def _check_structure_constants(rings: list[SRing], cell: np.ndarray, least: np.n
     if n * n <= _SLAB_ENTRIES:
         rows = _differences(cell) + tags[:, None, :]
         rows.sort(axis=2)
-        ref = rows[np.arange(len(rings))[:, None], least]
+        ref = rows[np.arange(k)[:, None], least]
         if (rows != ref).any():
             r = int(np.argmax((rows != ref).any(axis=(1, 2))))
             _raise_first_failure(rings[r], _least_failing_cell(rows[r], ref[r], rank[r]))

@@ -138,9 +138,10 @@ Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
     ["validate", "--in", "no-such-ring.json"],
     ["validate", "--ring", '{"n": true, "basic_sets": [[0]]}'],
     ["validate", "--ring", '{"n":4,"basic_sets":[[0],[1,3],[2],[]]}'],
+    ["validate", "--n", "4", "--ring", '{"basic_sets":[]}'],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
-        "empty-cell"])
+        "empty-cell", "no-cells"])
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)

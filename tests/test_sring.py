@@ -30,6 +30,7 @@ from circulant.sring import canonical_partition, internal_product_partition
 # (n, partition, message) for each axiom validate checks
 BAD_PARTITIONS = [
     (4, [[0], [1, 3], [2], []], "empty cell"),
+    (4, [], "element 0 not covered"),
     (4, [[0], [1, 3], [2, 4]], "element 4 out of range for Z_4"),
     (4, [[0], [-1, 1], [2, 3]], "element -1 out of range for Z_4"),
     (4, [[0], [1, 3], [2, 3]], "element 3 covered twice"),
