@@ -13,7 +13,13 @@ individualization-refinement backtracking search over vertex colorings
 root partition is the basic sets, unrefined: for v in a basic set Z, the
 number of u in Y with u - v in X is the coefficient of v in Y X^-1, the
 same for every v in Z, so the basic sets are equitable and refinement
-would return them as they are.  The search fixes a base on its first
+would return them as they are.  Every partition the search individualizes
+a point v in is equitable, so its first refinement pass reads one column
+of the color table: each cell splits by the color to v, ordered as the
+sorted key rows would order it (byte order decides, and a carry out of a
+key's low byte reverses some colors on a little-endian host), and when
+no cell splits the partition is equitable as it is.  Only the passes
+after a split sort key rows.  The search fixes a base on its first
 path and finishes each level before the one above it, so the
 automorphisms found at levels >= L generate the pointwise stabilizer of
 the first L base points: they are a strong generating set, and each
@@ -35,6 +41,7 @@ chain of Sym(n).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,7 +123,7 @@ class _StabilizerSearch:
             b = int(cells[ci][0])
             self.base.append(b)
             self.target_cells.append(ci)
-            self.p_seq.append(self._refine(self._individualize(cells, ci, b)))
+            self.p_seq.append(self._refine(self._individualize(cells, ci, b), ci))
         self.p_shapes = [tuple(len(c) for c in p) for p in self.p_seq]
         # p_flat[L]: the first path's partition at level L, cells concatenated
         self.p_flat = [np.concatenate(p) for p in self.p_seq]
@@ -177,9 +184,46 @@ class _StabilizerSearch:
             width = len(raw) // len(keys)
             yield from (raw[i:i + width] for i in range(0, len(raw), width))
 
-    def _refine(self, cells):
-        """One-dimensional refinement against the edge-color table, stable
-        under color-automorphisms cell-index-wise.
+    def _split_by_point(self, cells, ci: int):
+        """The first refinement pass of the partition made by
+        individualizing v = cells[ci][0] in an equitable partition, split
+        by one column of the color table: the cells as they are when none
+        splits.
+
+        The rest of v's old cell is cells[ci + 1].  That cell was a cell
+        of an equitable partition, so every x in a cell X has the same
+        key row with v counted in cell ci + 1; the row of x is that row
+        with one key k + 1 replaced by k = a * C + ci, a = color(x, v).
+        So two rows of X are equal exactly when their a is, and for a < b
+        the row of a sorts first exactly when the bytes of k sort before
+        those of k + 1.  Big-endian, they always do.  Little-endian they
+        do unless the low byte of k is 0xFF, whose carry makes k + 1's
+        first byte 0x00, at any key width.  So a cell's new cells are
+        its colors without that carry ascending, then those with it
+        descending.
+        """
+        C, R = len(cells), self.ncolors
+        # the place of each color among the new cells of a cell
+        ranks = range(R)
+        if sys.byteorder == "little":
+            ranks = [2 * R - 1 - a if (a * C + ci) & 0xFF == 0xFF else a for a in ranks]
+        flat = np.concatenate(cells)
+        # color(x, v) = cell_of[v - x] = rolled[v + 1][n - 1 - x]
+        colors = self.rolled[int(cells[ci][0]) + 1][::-1][flat]
+        key = np.arange(0, 2 * R * C, 2 * R).repeat([len(c) for c in cells])
+        key += np.array(ranks)[colors]
+        order = key.argsort(kind="stable")
+        key = key[order]
+        starts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
+        if len(starts) + 1 == C:
+            return cells
+        points = flat[order]
+        return [points[i:j] for i, j in zip([0] + starts, starts + [self.n])]
+
+    def _row_pass(self, cells):
+        """One refinement pass against the edge-color table, stable under
+        color-automorphisms cell-index-wise: the cells as they are when
+        none splits.
 
         The signature of a vertex v is the multiset of (edge color to u,
         cell of u) over all u, realized as the sorted row of combined
@@ -195,33 +239,52 @@ class _StabilizerSearch:
         than a block fills its buckets over several blocks.
         """
         n = self.n
-        while True:
-            C = len(cells)
-            if C == n:
+        C = len(cells)
+        window = self._key_window(C)
+        cell_id = np.empty(n, dtype=window.dtype)
+        for i, c in enumerate(cells):
+            cell_id[c] = i
+        active = np.concatenate([c for c in cells if len(c) > 1])
+        keys = self._sorted_keys(active, cell_id, window)
+        new_cells = []
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            buckets: dict[bytes, list[int]] = {}
+            # zip takes exactly len(c) rows from keys
+            for v, key in zip(c.tolist(), keys):
+                buckets.setdefault(key, []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(c)
+                continue
+            for key in sorted(buckets):
+                new_cells.append(np.array(buckets[key], dtype=np.int64))
+        return new_cells
+
+    def _refine(self, cells, ci: int | None = None):
+        """One-dimensional refinement: `_row_pass` until no cell splits.
+
+        When cells[ci] is a point just individualized in an equitable
+        partition, the first pass is `_split_by_point`: one gather of the
+        point's column and one stable sort give the cells of a row pass
+        in their order (ascending color, but on a little-endian host the
+        colors whose key ends in the byte 0xFF go last, descending), and
+        a partition it leaves as it is is already equitable.  Without ci
+        every pass is a row pass.
+        """
+        n = self.n
+        if ci is not None and len(cells) < n:
+            split = self._split_by_point(cells, ci)
+            if len(split) == len(cells):
                 return cells
-            window = self._key_window(C)
-            cell_id = np.empty(n, dtype=window.dtype)
-            for i, c in enumerate(cells):
-                cell_id[c] = i
-            active = np.concatenate([c for c in cells if len(c) > 1])
-            keys = self._sorted_keys(active, cell_id, window)
-            new_cells = []
-            for c in cells:
-                if len(c) == 1:
-                    new_cells.append(c)
-                    continue
-                buckets: dict[bytes, list[int]] = {}
-                # zip takes exactly len(c) rows from keys
-                for v, key in zip(c.tolist(), keys):
-                    buckets.setdefault(key, []).append(v)
-                if len(buckets) == 1:
-                    new_cells.append(c)
-                    continue
-                for key in sorted(buckets):
-                    new_cells.append(np.array(buckets[key], dtype=np.int64))
-            if len(new_cells) == C:
-                return new_cells
+            cells = split
+        while len(cells) < n:
+            new_cells = self._row_pass(cells)
+            if len(new_cells) == len(cells):
+                break
             cells = new_cells
+        return cells
 
     def _root(self, x: int) -> int:
         parent = self.parent
@@ -277,7 +340,7 @@ class _StabilizerSearch:
             if self._root(v) != v:
                 continue
             self._tick(level)
-            q2 = self._refine(self._individualize(cells, ci, v))
+            q2 = self._refine(self._individualize(cells, ci, v), ci)
             if tuple(len(c) for c in q2) == self.p_shapes[level + 1]:
                 f = self._descend_off_path(level + 1, q2)
                 if f is not None:
@@ -310,7 +373,7 @@ class _StabilizerSearch:
         ci = self.target_cells[level]
         for v in cells[ci].tolist():
             self._tick(level)
-            q2 = self._refine(self._individualize(cells, ci, v))
+            q2 = self._refine(self._individualize(cells, ci, v), ci)
             if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:
                 continue
             f = self._descend_off_path(level + 1, q2)

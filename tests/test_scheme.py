@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from collections.abc import Mapping
 
@@ -114,7 +115,8 @@ class _Int64RefineSearch(_StabilizerSearch):
         self.found = [[] for _ in self.base]
         self.parent = list(range(self.n))
 
-    def _refine(self, cells):
+    def _refine(self, cells, ci=None):
+        """Full-row passes only: ci is ignored."""
         n, D = self.n, self.D
         while True:
             C = len(cells)
@@ -441,10 +443,53 @@ def test_search_matches_the_int64_refinement():
     assert len(rings) == 718
     assert plus_minus_one_ring(200) == cyclotomic(200, (-1,))
     rings += [plus_minus_one_ring(200), plus_minus_one_ring(600)]
+    # the +-1 rings are discrete after the first column of the color
+    # table; these rings of 4 and 3 points per cell go on to row passes
+    rings += [cyclotomic(101, (10,)), cyclotomic(601, (24,))]
     widths = {s.n: s.widths for s in assert_search_matches_int64_oracle(Recording, rings)}
-    assert widths[200] == {"uint16"}
-    # 301 colors times 302 cells after the first individualization > 2**16
-    assert widths[600] == {"uint32"}
+    assert widths[200] == widths[600] == set()
+    assert widths[101] == {"uint16"}
+    # its row passes sort 600 cells' keys: 201 colors times 600 > 2**16
+    assert widths[601] == {"uint32"}
+
+
+class _SplitCheckingSearch(_StabilizerSearch):
+    """The search, checking at every individualization that the pass
+    from one column of the color table gives the cells of one row pass,
+    in their order, and counting the calls in which a cell's new cells
+    are not in ascending color to the individualized point."""
+
+    def __init__(self, ring, node_budget):
+        self.reorders = 0
+        super().__init__(ring, node_budget)
+
+    def _refine(self, cells, ci=None):
+        if len(cells) < self.n:
+            split = self._split_by_point(cells, ci)
+            assert [c.tolist() for c in split] == [c.tolist() for c in self._row_pass(cells)]
+            color = self.rolled[int(cells[ci][0]) + 1][::-1]
+            old_cell = np.empty(self.n, dtype=np.int64)
+            for i, c in enumerate(cells):
+                old_cell[c] = i
+            pieces = [(old_cell[c[0]], color[c[0]]) for c in split]
+            if any(i == j and a > b for (i, a), (j, b) in zip(pieces, pieces[1:])):
+                self.reorders += 1
+        return super()._refine(cells, ci)
+
+
+def test_split_by_point_is_one_row_pass():
+    """The first pass from the individualized point is exact on every
+    catalog ring with n <= 30 and rank > 2 and on the +-1 rings at n = 200
+    and 600, and on a little-endian host the carry reorders new cells in
+    some calls of each set (2 and 4 calls)."""
+    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
+    searches = [run_search(_SplitCheckingSearch, ring) for ring in rings]
+    pm1 = [run_search(_SplitCheckingSearch, plus_minus_one_ring(n)) for n in (200, 600)]
+    reorders = [sum(s.reorders for s in searches), sum(s.reorders for s in pm1)]
+    if sys.byteorder == "little":
+        assert min(reorders) > 0
+    else:
+        assert reorders == [0, 0]
 
 
 def test_search_in_small_blocks_matches_the_int64_refinement(monkeypatch):
