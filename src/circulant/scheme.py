@@ -5,7 +5,12 @@ containing h - g.  Row g of that n x n table is the ring's cell-id row
 rolled by g, so the search reads rows from one view of 2n cell ids
 (``sring.rolled_cells``) and never builds the table: refinement makes its
 keys, and the color check of a map its rows, a block of at most
-``_BLOCK_ENTRIES`` entries at a time.
+``_BLOCK_ENTRIES`` entries at a time.  An affine map x -> a * x + c, such
+as a translation or a multiplier, gets an exact O(n) check instead: it
+takes the color of (g, h), the cell of h - g, to the cell of a * (h - g),
+so it preserves every color exactly when cell(a * z) = cell(z) for every
+z (an a that is not a unit fails, since a * d = 0 for some d != 0 and
+cell(0) = {0}).
 
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
@@ -53,11 +58,8 @@ from .perm import (
     SchreierTree,
     induced_on_section,
     intersect,
-    inverse,
-    mult,
     orbits,
     symmetric_chain,
-    translation,
     translation_chain,
     two_equivalent,
 )
@@ -82,12 +84,40 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+def _affine(f: np.ndarray) -> tuple[int, int] | None:
+    """(a, c) when f(x) = a * x + c mod n for every x, else None.  A map
+    that disagrees with a * x + c at 2 (0 when n <= 2), n // 2 or n - 1
+    is rejected before the full comparison."""
+    n = len(f)
+    c = f.item(0)
+    a = (f.item(1) - c) % n if n > 1 else 0
+    for x in (2 % n, n // 2, n - 1):
+        if f.item(x) != (a * x + c) % n:
+            return None
+    if not np.array_equal(f, (a * np.arange(n) + c) % n):
+        return None
+    return a, c
+
+
 def _preserves_colors(rolled: np.ndarray, f) -> bool:
-    """Whether f preserves every color, checked a block of rows G of the
-    color table at a time: row g is rolled[n - g], so D[f][:, f] has rows
-    G equal to rolled[n - f[G]][:, f]."""
+    """Whether f preserves every color.
+
+    An affine f(x) = a * x + c takes the pair (g, h), of color cell(h - g),
+    to one of color cell(a * (h - g)), so it preserves every color exactly
+    when cell(a * z) = cell(z) for every z: one gather of cell_of =
+    rolled[0].  That is exact for any a, since the test rejects every a
+    that is not a unit: then a * d = 0 for some d != 0, and cell(0) = {0}
+    is not cell(d).  Any other f is checked a block of rows G of the color
+    table at a time: row g is rolled[n - g], so D[f][:, f] has rows G equal
+    to rolled[n - f[G]][:, f].  Most maps the search tests fix 0 and 1, so
+    those skip the affine test.
+    """
     n = len(f)
     f = np.asarray(f, dtype=np.int64)
+    affine = None if n > 1 and f.item(0) == 0 and f.item(1) == 1 else _affine(f)
+    if affine is not None:
+        cell_of = rolled[0]
+        return np.array_equal(cell_of[affine[0] * np.arange(n) % n], cell_of)
     step = _block_rows(n)
     for g0 in range(0, n, step):
         g1 = min(g0 + step, n)
@@ -407,7 +437,10 @@ def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
     """The full automorphism group of the Cayley scheme of the ring.
 
     Always contains the translations.  Every returned generator is
-    verified against every color, a block of rows at a time.  Raises
+    verified against every color: an affine one, x -> a * x + c, in O(n)
+    as cell(a * z) = cell(z) for every z, since it takes the color of
+    (g, h), the cell of h - g, to the cell of a * (h - g); any other, a
+    block of rows of the color table at a time.  Raises
     BudgetError when n or the search budget is exceeded (never returns a
     wrong answer).
     """
@@ -438,17 +471,12 @@ def is_schurian(ring: SRing, *, max_n: int = DEFAULT_SCHURITY_MAX_N,
 
 def is_normal(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
               node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Whether the translations are normal in Aut(ring): conjugation of the
-    unit translation by every generator is again a translation."""
+    """Whether the translations are normal in Aut(ring): whether every
+    generator is affine, x -> a * x + c.  The normalizer of the
+    translations in Sym(n) is the holomorph of Z_n, the affine
+    permutations."""
     group = aut_group(ring, max_n=max_n, node_budget=node_budget)
-    n = ring.n
-    t1 = translation(n, 1)
-    for a in group.generators:
-        conj = mult(mult(inverse(a), t1), a)
-        k = conj[0]
-        if any(conj[x] != (x + k) % n for x in range(n)):
-            return False
-    return True
+    return all(_affine(np.asarray(g)) is not None for g in group.generators)
 
 
 @dataclass(frozen=True)

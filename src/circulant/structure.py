@@ -234,10 +234,6 @@ def gwr_group(n: int, spec: GwrSpec) -> PermGroup:
     return PermGroup(n, gens)
 
 
-def gwr_for_class(ring: SRing, cl: ProjClass, m_group: PermGroup) -> PermGroup:
-    return gwr_group(ring.n, GwrSpec(cl.s_min, cl.s_max, m_group))
-
-
 def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
     """Canonical generalized wreath product of d_u (on Z_u, containing its
     translations) by d_0 (on Z_{n/l}, containing its translations), for the
@@ -324,5 +320,5 @@ def _resolve_group(ring: SRing, aut_max_n: int, node_budget: int) -> PermGroup:
     cl = min(prime_classes, key=ProjClass.sort_key)
     extended = ext(ring, cl, group_ring(cl.order))
     sub = _resolve_group(extended, aut_max_n, node_budget)
-    delta = gwr_for_class(ring, cl, holomorph(cl.order))
+    delta = gwr_group(ring.n, GwrSpec(cl.s_min, cl.s_max, holomorph(cl.order)))
     return PermGroup(ring.n, sub.generators + delta.generators)

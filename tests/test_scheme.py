@@ -37,6 +37,7 @@ from circulant.perm import (
     is_identity,
     mult,
     symmetric,
+    translation,
 )
 from circulant.scheme import (
     DEFAULT_NODE_BUDGET,
@@ -283,6 +284,27 @@ def test_is_normal_examples():
     assert is_normal(group_ring(2))
 
 
+def conjugation_is_normal(ring):
+    """Oracle: the translations are normal in Aut when conjugating x -> x+1
+    by every generator gives a translation."""
+    n = ring.n
+    t1 = translation(n, 1)
+    for a in aut_group(ring).generators:
+        conj = mult(mult(inverse(a), t1), a)
+        k = conj[0]
+        if any(conj[x] != (x + k) % n for x in range(n)):
+            return False
+    return True
+
+
+def test_is_normal_is_the_conjugation_test():
+    """Every generator affine means the translations are normal, on every
+    catalog ring with n <= 30, with both answers seen."""
+    answers = {ring: is_normal(ring) for ring in catalog_rings(30)}
+    assert all(answer == conjugation_is_normal(ring) for ring, answer in answers.items())
+    assert set(answers.values()) == {True, False}
+
+
 def test_nonschurity_criterion_fixture(z9_fixture):
     report = nonschurity_criterion(z9_fixture, Section(9, 3, 3))
     assert not report.holds  # the fixture is schurian: inconclusive
@@ -477,19 +499,44 @@ class _SplitCheckingSearch(_StabilizerSearch):
         return super()._refine(cells, ci)
 
 
+def split_reorders(cls):
+    """The reorders counted by the checking search cls over every catalog
+    ring with n <= 30 and rank > 2, and over the +-1 rings at n = 200 and
+    600."""
+    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
+    searches = [run_search(cls, ring) for ring in rings]
+    pm1 = [run_search(cls, plus_minus_one_ring(n)) for n in (200, 600)]
+    return [sum(s.reorders for s in searches), sum(s.reorders for s in pm1)]
+
+
 def test_split_by_point_is_one_row_pass():
     """The first pass from the individualized point is exact on every
     catalog ring with n <= 30 and rank > 2 and on the +-1 rings at n = 200
     and 600, and on a little-endian host the carry reorders new cells in
     some calls of each set (2 and 4 calls)."""
-    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
-    searches = [run_search(_SplitCheckingSearch, ring) for ring in rings]
-    pm1 = [run_search(_SplitCheckingSearch, plus_minus_one_ring(n)) for n in (200, 600)]
-    reorders = [sum(s.reorders for s in searches), sum(s.reorders for s in pm1)]
+    reorders = split_reorders(_SplitCheckingSearch)
     if sys.byteorder == "little":
         assert min(reorders) > 0
     else:
         assert reorders == [0, 0]
+
+
+class _BigEndianSearch(_SplitCheckingSearch):
+    """The checking search as a big-endian host runs it: row passes order
+    key rows by their big-endian bytes."""
+
+    def _sorted_keys(self, points, cell_id, window):
+        big = window.dtype.newbyteorder(">")
+        for row in super()._sorted_keys(points, cell_id, window):
+            yield np.frombuffer(row, dtype=window.dtype).astype(big).tobytes()
+
+
+def test_split_by_point_is_one_row_pass_big_endian(monkeypatch):
+    """With sys.byteorder "big" and big-endian key rows, the first pass
+    is still one row pass on the same rings, and no cell's new cells are
+    out of ascending color."""
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert split_reorders(_BigEndianSearch) == [0, 0]
 
 
 def test_search_in_small_blocks_matches_the_int64_refinement(monkeypatch):
@@ -530,6 +577,53 @@ def test_blockwise_color_check_matches_the_full_table(monkeypatch):
     assert bad_rows == [n - 2, n - 1] and (n - 2) // step == (n - 1) // step == n // step - 1
     assert not _preserves_colors(rolled, f)
     assert _preserves_colors(rolled, np.arange(n))
+
+
+def decoys(f):
+    """Non-affine maps that agree with the affine map f at 0, 1, 2, n // 2
+    and n - 1: f with one other point moved on by one, and f with the
+    images of two other points swapped when they differ."""
+    n = len(f)
+    free = [x for x in range(3, n - 1) if x != n // 2]
+    if len(free) < 2:
+        return []
+    x, y = free[0], free[-1]
+    bumped = f.copy()
+    bumped[x] = (f[x] + 1) % n
+    out = [bumped]
+    if f[x] != f[y]:
+        swapped = f.copy()
+        swapped[[x, y]] = f[[y, x]]
+        out.append(swapped)
+    return out
+
+
+def test_affine_color_check_matches_the_full_table():
+    """_preserves_colors agrees with the full color table, over every
+    catalog ring with n <= 30, on x -> a * x and x -> a * x + a + 1 for
+    every a, unit or not, on every translation, and on decoys of each
+    that agree with it where the pre-test looks."""
+    seen = {"multiplier kept": 0, "multiplier broken": 0, "non-unit": 0,
+            "decoy of a kept map": 0}
+    for ring in catalog_rings(30):
+        n = ring.n
+        D, rolled = color_matrix(ring), rolled_cells(ring, np.uint16)
+        x = np.arange(n)
+        maps = [(a, (a * x + c) % n) for a in range(n) for c in {0, (a + 1) % n}]
+        maps += [(1, (x + c) % n) for c in range(n)]
+        for a, f in maps:
+            kept = np.array_equal(D[f][:, f], D)
+            assert _preserves_colors(rolled, f) == kept, (ring.cells, f)
+            if math.gcd(a, n) != 1:
+                assert not kept
+                seen["non-unit"] += 1
+            elif a != 1:
+                seen["multiplier kept" if kept else "multiplier broken"] += 1
+            for g in decoys(f):
+                assert scheme._affine(g) is None
+                assert _preserves_colors(rolled, g) == np.array_equal(D[g][:, g], D)
+                seen["decoy of a kept map"] += kept
+    assert min(seen.values()) > 0, seen
 
 
 def test_schreier_trees_match_the_eager_transversals():
