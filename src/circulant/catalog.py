@@ -54,7 +54,6 @@ from .zn import (
     crt_idempotents,
     divisors,
     is_prime,
-    multiplicative_closure,
     multiplicative_order,
     unit_group,
     unit_orbits,
@@ -105,11 +104,18 @@ def _least_points(n: int, cells) -> np.ndarray:
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:
     """All subgroups of (Z/n)*, by closing the cyclic subgroups under
-    joins."""
+    joins.  The group is abelian, so the join of a and b is the product
+    a * b."""
     units = unit_group(n)
     if n <= 2:
         return [frozenset({1 % n})]
-    cyclic = {multiplicative_closure(n, (u,)) for u in units}
+    cyclic = set()
+    for u in units:
+        powers, x = [1], u
+        while x != 1:
+            powers.append(x)
+            x = x * u % n
+        cyclic.add(frozenset(powers))
     subgroups = set(cyclic)
     frontier = set(cyclic)
     while frontier:
@@ -118,7 +124,7 @@ def _unit_subgroups(n: int) -> list[frozenset[int]]:
             for b in cyclic:
                 if b <= a:
                     continue
-                joined = multiplicative_closure(n, tuple(a | b))
+                joined = frozenset(x * y % n for x in a for y in b)
                 if joined not in subgroups:
                     subgroups.add(joined)
                     new.add(joined)

@@ -6,13 +6,16 @@ defines equality and hashing, and every constructor canonicalizes on
 output.  The axioms are checked exactly by validate_batch over many
 partitions of one Z_n (validate is the batch of one).  Cells, coverage,
 the identity cell and inverse closure take one pass in Python per
-partition.  The structure constants are checked a slab of whole rings at
-a time: the multiset of (cell of x, cell of z - x) over all x must be the
-same at every point z as at the least point of z's cell, which compares
-every count c_XY at z at once, one sort of the rows [ring, z, x] per
-slab.  A ring too large for a slab is checked alone, a block of whole
-cells at a time.  Every temporary has a fixed size, whatever n or the
-cell sizes.
+partition.  The structure constants are checked as sorted rows: the row
+[z, x] holds the cell of z - x tagged by the cell of x, and sorted over
+x it must be the same at every point z as at the least point of z's
+cell, which compares every count c_XY at z at once.  A slab of whole
+rings is one sort of the rows [ring, z, x].  A ring too large for a slab
+is checked alone, a block of whole cells x at a time, with the same rows
+[z, x] sorted along x, and over about half its points: the z up to n/2
+and the negated least point of each cell, which suffices by inverse
+closure (the proof is in _check_structure_constants).  Every temporary
+has a fixed size, whatever n or the cell sizes.
 """
 
 from __future__ import annotations
@@ -138,9 +141,9 @@ def validate_batch(n: int, partitions) -> list[SRing]:
 
 
 # entries of the rows of a slab of whole rings (n * n each), and of each
-# block of a ring too large for a slab (4 MB as int32)
+# chunk of rows of a ring too large for a slab (1 MB as int32)
 _SLAB_ENTRIES = 1 << 16
-_CHECK_ENTRIES = 1 << 20
+_CHECK_ENTRIES = 1 << 18
 
 
 def _axiom_error(n: int, cells) -> str | None:
@@ -216,13 +219,25 @@ def _check_structure_constants(rings: list[SRing]) -> None:
     So the row [z, x] = cell of z - x, tagged by the cell of x, sorts over
     x to the same row as at least[z] exactly when every count is constant
     on z's cell.  Whole rings are stacked as rows [ring, z, x] and sorted
-    in one call.  A ring whose n * n exceeds a slab is taken alone, as the
-    columns z of rows [x, z] with x in a block of whole cells, sorted over
-    x; when one cell alone fills a block, a chunk of columns at a time
-    with the reference columns it needs.  On failure the counts are
-    recomputed for the least failing X, which is the first cell the
-    pairwise check in order (X, Y) with X <= Y would reject, since
-    c_XY = c_YX.
+    in one call.
+
+    A ring whose n * n exceeds a slab is taken alone, with the rows [z, x]
+    for x in a block of whole cells (_first_failing_cell), and z only in
+    H = {0..n//2} u {-l(Z) mod n : Z a cell}, l(Z) the least point of Z.
+    That suffices.  Let row(z, X) be the multiset {cell(z - x) : x in X}
+    and inv map each cell to its negation, a cell by inverse closure
+    (checked before).  Negating z - x gives row(-z, -X) = inv(row(z, X)).
+    Suppose that for every cell the rows at its points in H agree, and
+    take z outside H, in the cell Z.  Then z > n/2, so -z and l(-Z) <= -z
+    lie in -Z and in H, and
+        row(z, X) = inv(row(-z, -X)) = inv(row(l(-Z), -X)) = row(-l(-Z), X).
+    The point -l(-Z) lies in Z and in H, so z has the row of the points of
+    Z in H.  The check over H mixes X and -X, so when it fails the same
+    check runs again over every z, to find the least failing X.
+
+    On failure the counts are recomputed for the least failing X, which
+    is the first cell the pairwise check in order (X, Y) with X <= Y would
+    reject, since c_XY = c_YX.
     """
     n, k = rings[0].n, len(rings)
     # the per-ring maps cell[x] = x's cell and least[x] = its least point
@@ -249,31 +264,67 @@ def _check_structure_constants(rings: list[SRing]) -> None:
             r = int(np.argmax((rows != ref).any(axis=(1, 2))))
             _raise_first_failure(rings[r], _least_failing_cell(rows[r], ref[r], rank[r]))
         return
-    for r, ring in enumerate(rings):
-        window, points, end = rolled_cells(ring, dtype), _points(ring), 0
-        for lo, hi in _cell_blocks(ring):
-            size = sum(len(c) for c in ring.cells[lo:hi])
-            xs, end = points[end:end + size], end + size
-            tag = tags[r, xs][:, None]
-            whole = size * n <= _CHECK_ENTRIES
-            step = n if whole else max(1, _CHECK_ENTRIES // (2 * size))
-            for start in range(0, n, step):
-                # rows [x, z] = window[n - x][z], sorted over x
-                if whole:
-                    rows, cols, ref_cols = window[n - xs], slice(None), least[r]
-                else:
-                    refs = least[r, start:start + step]
-                    # the columns start.. after the reference columns left of them
-                    need = np.concatenate([np.flatnonzero(np.bincount(refs[refs < start])),
-                                           np.arange(start, start + len(refs))])
-                    rows = window[np.ix_(n - xs, need)]
-                    cols = slice(len(need) - len(refs), None)
-                    ref_cols = np.searchsorted(need, refs)
-                rows += tag
-                rows.sort(axis=0)
-                if not np.array_equal(rows[:, cols], rows[:, ref_cols]):
-                    _raise_first_failure(ring, _least_failing_cell(
-                        rows[:, cols].T, rows[:, ref_cols].T, rank[r]))
+    # a ring larger than a slab is the only ring of its batch
+    (ring,) = rings
+    # H: the points up to n/2 and the negated least point of every cell
+    in_h = np.zeros(n, dtype=bool)
+    in_h[:n // 2 + 1] = True
+    in_h[(n - least[0]) % n] = True
+    window = rolled_cells(ring, dtype)
+    if _first_failing_cell(ring, window, np.flatnonzero(in_h)) is not None:
+        _raise_first_failure(ring, _first_failing_cell(ring, window, np.arange(n)))
+
+
+def _first_failing_cell(ring: SRing, window: np.ndarray, zs: np.ndarray) -> int | None:
+    """The least cell X whose rows differ at two points of one cell in zs
+    (ascending); None if there is none.
+
+    For a block of whole cells with points xs, the rows [z, x] = cell of
+    z - x tagged by the cell of x, z in zs, are built a chunk of at most
+    _CHECK_ENTRIES entries at a time, window[n - xs, z0:z1] transposed,
+    and sorted along x, the contiguous axis.  Each row is compared with
+    the row at the first point of its cell in zs.  A chunk builds that row
+    again when an earlier chunk had it, so no row outlives its chunk.
+    """
+    n, rank, cell = ring.n, ring.rank, window[0]
+    # zs[:run] is 0..run-1, whose rows are gathered by slicing
+    run = int(np.count_nonzero(zs == np.arange(len(zs))))
+    first = np.full(rank, n, dtype=np.int64)
+    np.minimum.at(first, cell[zs], zs)
+    index = np.empty(n, dtype=np.int64)
+    index[zs] = np.arange(len(zs))
+    # the index in zs of the reference row of each point of zs
+    at = index[first][cell[zs]]
+    points, end = _points(ring), 0
+    # a chunk's rows and the earlier rows it needs, in one buffer for all
+    # chunks (a cell has at most MAX_MODULUS < _CHECK_ENTRIES points)
+    buffer = np.empty(2 * _CHECK_ENTRIES, dtype=window.dtype)
+    for lo, hi in _cell_blocks(ring):
+        size = sum(len(c) for c in ring.cells[lo:hi])
+        xs, end = points[end:end + size], end + size
+        tag = cell[xs] * rank
+        step, failing = _CHECK_ENTRIES // size, None
+        for start in range(0, len(zs), step):
+            stop = min(start + step, len(zs))
+            refs = at[start:stop]
+            # the reference rows of earlier chunks, built after this chunk's
+            before = np.flatnonzero(np.bincount(refs[refs < start]))
+            ref = np.where(refs >= start, refs - start,
+                           stop - start + np.searchsorted(before, refs))
+            rows = buffer[:(stop - start + len(before)) * size].reshape(-1, size)
+            lead = max(0, min(stop, run) - start)
+            rows[:lead] = window[n - xs, start:start + lead].T
+            later = np.concatenate([zs[start + lead:stop], zs[before]])
+            rows[lead:] = window[np.ix_(n - xs, later)].T
+            rows += tag
+            rows.sort(axis=1)
+            mine, theirs = rows[:stop - start], rows[ref]
+            if not np.array_equal(mine, theirs):
+                x = _least_failing_cell(mine, theirs, rank)
+                failing = x if failing is None else min(failing, x)
+        if failing is not None:
+            return failing
+    return None
 
 
 def _least_failing_cell(rows: np.ndarray, ref: np.ndarray, rank: int) -> int:

@@ -135,6 +135,32 @@ def test_prime_catalog_is_cyclotomic():
         assert entries == expected
 
 
+def test_unit_subgroups_match_the_closure_oracle():
+    # oracle: the cyclic subgroups and each join closed by breadth-first
+    # search over products
+    from circulant.catalog import ENUMERATE_MAX_N, _unit_subgroups
+    from circulant.zn import multiplicative_closure
+
+    def closure_subgroups(n):
+        if n <= 2:
+            return [frozenset({1 % n})]
+        cyclic = {multiplicative_closure(n, (u,)) for u in unit_group(n)}
+        subgroups, frontier = set(cyclic), set(cyclic)
+        while frontier:
+            new = set()
+            for a in frontier:
+                for b in cyclic:
+                    joined = multiplicative_closure(n, tuple(a | b))
+                    if joined not in subgroups:
+                        subgroups.add(joined)
+                        new.add(joined)
+            frontier = new
+        return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+
+    for n in range(1, ENUMERATE_MAX_N + 1):
+        assert _unit_subgroups(n) == closure_subgroups(n), n
+
+
 def test_catalogs_up_to_72_are_pinned():
     # sha256 of (n, cells, provenance) for n = 1..72, recorded before the
     # closure began to validate each distinct ring only once

@@ -196,8 +196,8 @@ def test_validate_batch_raises_for_the_first_bad_partition():
 
 
 def test_structure_check_matches_pairwise_oracle_on_large_rings():
-    # a cell of more than 2**20 / n points is checked a chunk of columns at
-    # a time, and a rank above 181 needs int32 entries
+    # a cell of more than 2**18 / n points is checked a chunk of rows at a
+    # time, and a rank above 181 needs int32 entries
     cells = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
     expected = pairwise_check(200, cells)
     assert expected is not None
@@ -210,6 +210,52 @@ def test_structure_check_matches_pairwise_oracle_on_large_rings():
     expected = pairwise_check(1201, cells)
     assert expected is not None and "X=cell1" in expected
     assert validate_message(1201, cells) == expected
+
+
+def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture):
+    # a ring with n * n above a slab is checked over the points up to n/2
+    # and the negated least point of each cell, and a failure is worded by
+    # the same check over every point
+    from circulant import sring
+
+    rng = random.Random(23)
+    # the cells of group_ring(300) above 150 have their least points there
+    rings = [group_ring(300), example12_fixture.right]
+    for n in rng.sample(range(257, 701), 8):
+        units = unit_group(n)
+        rings += [rank2(n), cyclotomic(n, (rng.choice(units),)),
+                  cyclotomic(n, tuple(rng.sample(units, 2)))]
+    # Cyc(<g>, Z_307), g of order 3, has cells of three points above n/2
+    g = next(u for u in unit_group(307) if u > 1 and pow(u, 3, 307) == 1)
+    rings.append(cyclotomic(307, (g,)))
+    assert any(cell[0] > 307 // 2 and len(cell) == 3 for cell in rings[-1].cells)
+    assert example12_fixture.right.n == 325
+    assert all(ring.n ** 2 > sring._SLAB_ENTRIES for ring in rings)
+    invalid = 0
+    for ring in rings:
+        for merges in (1, 2, 3):
+            cells = merged_cells(ring, rng, merges)
+            expected = pairwise_check(ring.n, cells)
+            assert validate_message(ring.n, cells) == expected, (ring.n, cells)
+            invalid += expected is not None
+    assert invalid >= 40
+    ring = example12_fixture.ring
+    for merges in (1, 1, 2, 2):
+        cells = merged_cells(ring, rng, merges)
+        expected = pairwise_check(ring.n, cells)
+        assert expected is not None
+        assert validate_message(ring.n, cells) == expected
+
+
+def test_structure_check_beyond_a_slab_sees_every_chunk():
+    # the counts of {200, 1001} + {200, 1001} differ only at z = 400 and
+    # -400 = 801: past n/4, and beyond the first chunk of rows of the
+    # large cell
+    n = 1201
+    cells = [[0], [200, 1001], [x for x in range(1, n) if x not in (200, 1001)]]
+    expected = pairwise_check(n, cells)
+    assert "z=400" in expected
+    assert validate_message(n, cells) == expected
 
 
 def test_validate_batch_slab_edges():
@@ -233,10 +279,12 @@ def test_validate_batch_slab_edges():
     assert batch_message(1201, [rank2(1201).cells, bad, [[0]]]) == expected
 
 
-def test_validate_memory_is_bounded():
+def test_validate_memory_is_bounded(example12_fixture):
     # no temporary grows with n or with cell size: a few MB at n in the thousands
     partition = [[0], list(range(1, 3000))]
-    for build in (lambda: validate(3000, partition), lambda: cyclotomic(2000, (-1,))):
+    cells = example12_fixture.ring.cells
+    for build in (lambda: validate(3000, partition), lambda: cyclotomic(2000, (-1,)),
+                  lambda: validate(3575, cells)):
         tracemalloc.start()
         try:
             build()
