@@ -18,7 +18,6 @@ from .sring import (
     cyclotomic,
     generalized_wreath,
     group_ring,
-    multiplier_image,
     radical,
     radical_of_set,
     rank2,
@@ -35,7 +34,6 @@ from .perm import (
     induced_on_section,
     intersect,
     kernel_on_blocks,
-    preimage_with_induced,
     symmetric,
     translations,
     two_equivalent,
@@ -54,7 +52,6 @@ from .structure import (
     canonical_gwp,
     ext,
     gwr_group,
-    isolated_pair,
     proj_classes,
     resolve,
     singular_classes,
@@ -73,16 +70,16 @@ __all__ = [
     "Section", "big_omega", "divisors", "is_multiple", "is_prime",
     "subgroup_elements", "unit_orbits",
     "Classification", "SRing", "classify", "cyclotomic", "generalized_wreath",
-    "group_ring", "multiplier_image", "radical", "radical_of_set", "rank2",
+    "group_ring", "radical", "radical_of_set", "rank2",
     "section_ring", "subgroup_lattice", "tensor", "validate",
     "validate_batch", "wreath",
     "PermGroup", "holomorph", "induced_on_section", "intersect",
-    "kernel_on_blocks", "preimage_with_induced", "symmetric", "translations",
+    "kernel_on_blocks", "symmetric", "translations",
     "two_equivalent", "two_orbits",
     "aut_group", "is_normal", "is_schurian",
     "nonschurity_criterion", "stabilizer0_orbits",
     "GwrSpec", "ProjClass", "canonical_gwp", "ext", "gwr_group",
-    "isolated_pair", "proj_classes", "resolve", "singular_classes",
+    "proj_classes", "resolve", "singular_classes",
     "Catalog", "Example12Params", "brute_force_srings", "enumerate_srings",
     "example12", "schurity_sweep",
 ]

@@ -4,8 +4,9 @@ Permutations are dense image tuples.  Composition is left-to-right:
 mult(p, q) applies p first, then q.  Groups carry a lazily built
 deterministic Schreier-Sims stabilizer chain that certifies the order and
 supports membership sifting; a base prefix can be prescribed, which is
-how block-kernel and prefix-stabilizer computations are realized.  A
-chain known by construction is assembled from its levels instead
+how the kernel on a block system is computed (the blocks must be
+invariant: every generator maps each block onto a block).  A chain known
+by construction is assembled from its levels instead
 (``translation_chain``, ``symmetric_chain``); its translation and
 transposition levels, and the Schreier trees of other levels, make their
 representatives on demand rather than store them.
@@ -38,7 +39,6 @@ Perm = tuple
 
 INTERSECT_ENUM_THRESHOLD = 10 ** 6
 INDUCED_TABLE_LIMIT = 10 ** 4
-BLOCK_SET_ORBIT_LIMIT = 100_000
 # edge targets per block in the orbit routines (512 KB as int64), so that
 # no temporary grows with the square of the degree; a block still holds
 # at least one row x for every generator
@@ -419,13 +419,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return self.degree == 1 or len(self.orbits()) == 1
 
-    def to_json_dict(self) -> dict:
-        return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "PermGroup":
-        return PermGroup(data["degree"], [tuple(g) for g in data["generators"]])
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -668,12 +661,15 @@ def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
 
 
 def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
-    """The subgroup fixing every block setwise.
+    """The subgroup fixing every block setwise, for a partition into
+    blocks that the group permutes (its generators map each block onto a
+    block).
 
-    The group is made to act on the orbit of the block sets; a stabilizer
-    chain on the extended domain with those set labels as base prefix then
-    yields the pointwise stabilizer of the labels, i.e. the kernel.  For a
-    G-invariant partition the orbit is the partition itself.
+    The group then acts on the m points and the blocks together; a
+    stabilizer chain on that extended domain with the block labels as
+    base prefix yields the pointwise stabilizer of the labels, i.e. the
+    kernel.  Raises DomainError when a generator maps a block outside the
+    partition.
     """
     m = group.degree
     blocks = [frozenset(b) for b in blocks]
@@ -687,44 +683,32 @@ def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
 
     sets: list[frozenset] = list(dict.fromkeys(blocks))
     index = {b: i for i, b in enumerate(sets)}
-    frontier = list(sets)
-    while frontier:
-        b = frontier.pop()
-        for g in group.generators:
-            img = frozenset(g[x] for x in b)
-            if img not in index:
-                if len(sets) >= BLOCK_SET_ORBIT_LIMIT:
-                    raise BudgetError(
-                        f"block-set orbit exceeds limit {BLOCK_SET_ORBIT_LIMIT}")
-                index[img] = len(sets)
-                sets.append(img)
-                frontier.append(img)
-
     nb = len(sets)
     ext_gens = []
     for g in group.generators:
-        images = [index[frozenset(g[x] for x in b)] for b in sets]
+        images = [index.get(frozenset(g[x] for x in b)) for b in sets]
+        if None in images:
+            raise DomainError("blocks are not invariant: a generator maps a block "
+                              "outside the partition")
         ext_gens.append(tuple(g) + tuple(m + j for j in images))
 
-    base = tuple(m + index[b] for b in blocks)
-    chain = StabChain(m + nb, base=base)
+    chain = StabChain(m + nb, base=tuple(range(m, m + nb)))
     for g in ext_gens:
         chain.insert(g)
     kernel_gens = [g[:m] for g in chain.strong_generators()
-                   if all(g[m + index[b]] == m + index[b] for b in blocks)]
+                   if all(g[m + j] == m + j for j in range(nb))]
     return PermGroup(m, kernel_gens)
 
 
-def intersect(g1: PermGroup, g2: PermGroup,
-              threshold: int = INTERSECT_ENUM_THRESHOLD) -> PermGroup:
+def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
     """Intersection by enumerating the smaller group and sifting through
     the larger group's chain.  Hard error above the enumeration threshold."""
     if g1.degree != g2.degree:
         raise DomainError(f"degree mismatch: {g1.degree} != {g2.degree}")
     small, big = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
-    if small.order() > threshold:
+    if small.order() > INTERSECT_ENUM_THRESHOLD:
         raise BudgetError(
-            f"both groups exceed enumeration threshold {threshold} "
+            f"both groups exceed enumeration threshold {INTERSECT_ENUM_THRESHOLD} "
             f"(orders {g1.order()}, {g2.order()})")
     result = StabChain(small.degree)
     gens = []
@@ -766,13 +750,3 @@ def induced_action_table(group: PermGroup, sec: Section, wanted) -> dict[Perm, P
                 frontier.append((new_sigma, new_elem))
                 missing.discard(new_sigma)
     return table
-
-
-def preimage_with_induced(group: PermGroup, sec: Section, target) -> Perm:
-    """Some group element whose induced action on the section equals
-    ``target`` (BFS over generator products; identity maps to identity)."""
-    target = check_perm(target, sec.order)
-    found = induced_action_table(group, sec, {target}).get(target)
-    if found is None:
-        raise DomainError("target is not in the induced image of the group")
-    return found

@@ -78,9 +78,6 @@ class SRing:
             return False
         return all(len({other.cell_of[x] for x in cell}) == 1 for cell in self.cells)
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "basic_sets": [list(c) for c in self.cells]})
-
     @staticmethod
     def from_json(text: str, n: int | None = None) -> "SRing":
         """The ring {"n": int, "basic_sets": [[int, ...], ...]}, validated;
@@ -380,14 +377,6 @@ def cyclotomic(n: int, gens) -> SRing:
     return validate(n, unit_orbits(n, gens))
 
 
-def multiplier_image(ring: SRing, m: int) -> SRing:
-    """The image of the ring under x -> m*x for a unit m (a Cayley isomorphism)."""
-    if not is_unit(ring.n, m):
-        raise DomainError(f"{m} is not a unit mod {ring.n}")
-    return SRing(ring.n, canonical_partition(
-        tuple((x * m) % ring.n for x in cell) for cell in ring.cells))
-
-
 def tensor(a1: SRing, a2: SRing) -> SRing:
     """Tensor product over Z_{n1*n2} via the CRT isomorphism fixed by the
     canonical idempotents e1 = (1,0), e2 = (0,1)."""
@@ -487,20 +476,6 @@ def wreath(a1: SRing, a2: SRing, n: int) -> SRing:
     if n % u != 0 or a2.n != n // u:
         raise DomainError(f"wreath factors Z_{a1.n}, Z_{a2.n} do not fit modulus {n}")
     return generalized_wreath(a1, a2, Section(n, u, u))
-
-
-def internal_product_partition(m: int, left: SRing, right: SRing) -> tuple[tuple[int, ...], ...]:
-    """Partition of Z_m by cellwise sums of the canonical embeddings of the
-    factors (orders |left| * |right| = m, necessarily coprime)."""
-    s, t = left.n, right.n
-    if s * t != m or gcd(s, t) != 1:
-        raise DomainError(f"factors Z_{s}, Z_{t} do not decompose Z_{m}")
-    cells = []
-    for X1 in left.cells:
-        for X2 in right.cells:
-            cells.append(tuple(sorted((x1 * (m // s) + x2 * (m // t)) % m
-                                      for x1 in X1 for x2 in X2)))
-    return canonical_partition(cells)
 
 
 def radical_of_set(n: int, xs) -> int:

@@ -23,13 +23,14 @@ from .perm import (
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, aut_group
 from .sring import (
     SRing,
+    canonical_partition,
     group_ring,
-    internal_product_partition,
     s_condition_holds,
     section_ring,
     subgroup_lattice,
-    validate,
     generalized_wreath,
+    tensor,
+    tensor_partition,
 )
 from .zn import Section, is_multiple, is_prime
 
@@ -56,7 +57,12 @@ class ProjClass:
 def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
     """Decomposition conditions for the extremal pair: the ring satisfies
     both section conditions, and the ring induced on U1/L0 is the product
-    of the rings induced on L1/L0 and U0/L0."""
+    of the rings induced on L1/L0 and U0/L0.
+
+    The tensor partition embeds the factors through the CRT idempotents,
+    not as the subgroups L1/L0 and U0/L0 of U1/L0; the two embeddings
+    differ by a unit multiplier on each factor, and by Schur's theorem on
+    multipliers every unit multiplier fixes an S-ring over a cyclic group."""
     l1, l0 = s_min.u, s_min.l
     u1, u0 = s_max.u, s_max.l
     if not (s_condition_holds(ring, u0, l0) and s_condition_holds(ring, u1, l1)):
@@ -64,7 +70,7 @@ def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
     mid = section_ring(ring, Section(ring.n, u1, l0))
     left = section_ring(ring, s_min)
     right = section_ring(ring, Section(ring.n, u0, l0))
-    return mid.cells == internal_product_partition(u1 // l0, left, right)
+    return mid.cells == canonical_partition(tensor_partition(left, right))
 
 
 def proj_classes(ring: SRing) -> list[ProjClass]:
@@ -114,24 +120,6 @@ def proj_classes(ring: SRing) -> list[ProjClass]:
     return out
 
 
-def isolated_pair(ring: SRing, cl: ProjClass, *, exhaustive: bool = False):
-    """The isolated pair of the class, or None.  When it exists it is
-    (s_min, s_max); with ``exhaustive`` every other multiple pair in the
-    class is additionally checked to NOT satisfy the conditions."""
-    if cl.order <= 1:
-        return None
-    found = _pair_is_isolated(ring, cl.s_min, cl.s_max)
-    if exhaustive:
-        for s in cl.sections:
-            for t in cl.sections:
-                if (s, t) == (cl.s_min, cl.s_max):
-                    continue
-                if is_multiple(t, s) and _pair_is_isolated(ring, s, t):
-                    raise AssertionError(
-                        f"unexpected second isolated pair ({(s.u, s.l)}, {(t.u, t.l)})")
-    return (cl.s_min, cl.s_max) if found else None
-
-
 def singular_classes(ring: SRing) -> list[ProjClass]:
     """Classes of rank 2 and order > 2 containing an isolated pair."""
     return [cl for cl in proj_classes(ring) if cl.singular]
@@ -160,7 +148,7 @@ def ext(ring: SRing, cl: ProjClass, finer: SRing) -> SRing:
     ring_u0 = section_ring(ring, Section(n, u0, 1))
     ring_u0_l0 = section_ring(ring, Section(n, u0, l0))
     ring_g_l1 = section_ring(ring, Section(n, n, l1))
-    mixed = validate(u1 // l0, internal_product_partition(u1 // l0, finer, ring_u0_l0))
+    mixed = tensor(finer, ring_u0_l0)
 
     a1 = generalized_wreath(ring_u0, mixed, Section(u1, u0, l0))
     a2 = generalized_wreath(mixed, ring_g_l1, Section(n // l0, u1 // l0, l1 // l0))

@@ -89,16 +89,6 @@ class Section:
     def order(self) -> int:
         return self.u // self.l
 
-    def contains(self, g: int) -> bool:
-        return g % (self.n // self.u) == 0
-
-    def project(self, g: int) -> int:
-        """Project an element of U to Z_{u/l}; a surjective homomorphism
-        with kernel L."""
-        if not self.contains(g % self.n):
-            raise DomainError(f"{g} is not in the subgroup of order {self.u} of Z_{self.n}")
-        return ((g % self.n) // (self.n // self.u)) % self.order
-
 
 def is_multiple(t: Section, s: Section) -> bool:
     """Whether T = U1/U0 is a multiple of S = L1/L0, i.e. L0 = U0 n L1 and U1 = U0*L1.

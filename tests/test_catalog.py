@@ -14,13 +14,13 @@ from circulant import (
     example12,
     generalized_wreath,
     group_ring,
-    multiplier_image,
     radical,
     rank2,
     schurity_sweep,
     section_ring,
     subgroup_lattice,
 )
+from circulant.sring import canonical_partition
 from circulant.zn import divisors, multiplicative_order, unit_group
 
 
@@ -48,11 +48,15 @@ def test_enumerate_contains_fixture(z9_fixture):
 
 
 def test_catalog_closed_under_multipliers():
-    for n in (8, 9, 12, 15, 16):
-        entries = set(enumerate_srings(n).entries)
-        for ring in entries:
+    # Schur's theorem on multipliers: x -> m*x for a unit m fixes every
+    # S-ring over Z_n, so each ring is its own image, not only some ring of
+    # the catalog
+    for n in range(1, 73):
+        for ring in enumerate_srings(n):
             for m in unit_group(n):
-                assert multiplier_image(ring, m) in entries
+                image = canonical_partition(
+                    [x * m % n for x in cell] for cell in ring.cells)
+                assert image == ring.cells, (n, m, ring.cells)
 
 
 def test_enumerate_budget():

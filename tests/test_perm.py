@@ -17,7 +17,6 @@ from circulant import (
     induced_on_section,
     intersect,
     kernel_on_blocks,
-    preimage_with_induced,
     resolve,
     symmetric,
     translations,
@@ -37,10 +36,10 @@ from circulant.perm import (
     symmetric_chain,
     translation,
     translation_chain,
-    section_action,
     unit_generators,
 )
 from circulant.sring import cyclotomic, section_ring, subgroup_lattice
+from circulant.zn import divisors
 from circulant.structure import canonical_gwp
 
 
@@ -408,24 +407,27 @@ def test_induced_groups_of_equivalent_sections_match():
 
 
 def test_kernel_on_blocks_examples():
-    assert kernel_on_blocks(symmetric(4), [[0, 1], [2, 3]]).order() == 4
     blocks = [[i for i in range(12) if i % 3 == r] for r in range(3)]
     k = kernel_on_blocks(translations(12), blocks)
     assert groups_equal(k, PermGroup(12, [translation(12, 3)]))
     assert kernel_on_blocks(symmetric(5), [[i] for i in range(5)]).order() == 1
+    # x -> x+1 maps {0, 1} to {1, 2}, which is not a block
+    with pytest.raises(DomainError, match="blocks are not invariant"):
+        kernel_on_blocks(symmetric(4), [[0, 1], [2, 3]])
 
 
 def test_kernel_on_blocks_oracle():
-    rng = random.Random(3)
-    for _ in range(10):
-        m = rng.randrange(4, 8)
-        g = symmetric(m) if rng.random() < 0.5 else holomorph(m)
-        cut = rng.randrange(1, m)
-        blocks = [list(range(cut)), list(range(cut, m))]
-        kern = kernel_on_blocks(g, blocks)
-        want = [e for e in g.elements()
-                if all({e[x] for x in b} == set(b) for b in blocks)]
-        assert kern.order() == len(want)
+    # invariant partitions only: the cosets of each subgroup of Z_m for the
+    # holomorph and the translations, the two trivial partitions for Sym(m)
+    for m in range(4, 8):
+        cases = [(symmetric(m), [[x] for x in range(m)]), (symmetric(m), [list(range(m))])]
+        for g in (holomorph(m), translations(m)):
+            cases += [(g, [list(range(c, m, k)) for c in range(k)]) for k in divisors(m)]
+        for g, blocks in cases:
+            kern = kernel_on_blocks(g, blocks)
+            want = [e for e in g.elements()
+                    if all({e[x] for x in b} == set(b) for b in blocks)]
+            assert kern.order() == len(want), (m, blocks)
 
 
 def test_intersect_examples():
@@ -441,22 +443,7 @@ def test_intersect_examples():
     assert inter.order() == len(brute)
     assert all(h5.contains(g) and conj.contains(g) for g in inter.generators)
     with pytest.raises(BudgetError):
-        intersect(symmetric(30), symmetric(30), threshold=100)
-
-
-def test_preimage_with_induced_examples():
-    h9 = holomorph(9)
-    sec = Section(9, 9, 3)
-    target = (0, 2, 1)  # x -> 2x on Z_3
-    pre = preimage_with_induced(h9, sec, target)
-    assert h9.contains(pre)
-    assert section_action(pre, 0, sec) == (0, target)
-    assert preimage_with_induced(h9, sec, (0, 1, 2)) == identity(9)
-    t4 = translations(4)
-    pre2 = preimage_with_induced(t4, Section(4, 4, 2), (1, 0))
-    assert pre2 in {translation(4, 1), translation(4, 3)}
-    with pytest.raises(DomainError, match="not in the induced image"):
-        preimage_with_induced(translations(9), sec, (0, 2, 1))
+        intersect(symmetric(30), symmetric(30))
 
 
 def test_holomorph_product_has_no_smaller_two_equivalent_subgroup():
@@ -482,9 +469,3 @@ def test_holomorph_product_has_no_smaller_two_equivalent_subgroup():
             assert sub.order() == delta.order()
         else:
             assert sub.order() < delta.order()
-
-
-def test_group_json_round_trip():
-    g = holomorph(8)
-    data = g.to_json_dict()
-    assert groups_equal(PermGroup.from_json_dict(data), g)

@@ -12,7 +12,6 @@ from circulant import (
     cyclotomic,
     generalized_wreath,
     group_ring,
-    multiplier_image,
     radical,
     radical_of_set,
     rank2,
@@ -24,7 +23,7 @@ from circulant import (
     wreath,
 )
 from circulant.zn import divisors, multiplicative_closure, unit_group
-from circulant.sring import canonical_partition, internal_product_partition
+from circulant.sring import canonical_partition
 
 
 # (n, partition, message) for each axiom validate checks
@@ -460,23 +459,34 @@ def test_monotonicity_of_lattice():
                 assert set(subgroup_lattice(a)) <= set(subgroup_lattice(b))
 
 
-def test_multiplier_image_is_cayley_isomorphism():
-    ring = cyclotomic(16, (7,))
-    for m in unit_group(16):
-        image = multiplier_image(ring, m)
-        assert image.rank == ring.rank
-        validate(16, image.cells)
-
-
 def test_internal_product_partition_matches_tensor():
-    # partition-level agreement of the two embedding conventions
-    for a, b in [(rank2(3), rank2(5)), (cyclotomic(5, (4,)), cyclotomic(8, (3,)))]:
-        m = a.n * b.n
-        assert internal_product_partition(m, a, b) == tensor(a, b).cells
+    # the factors embedded as the subgroups of Z_st of their orders,
+    # x1 * t + x2 * s, against tensor's CRT embedding: the two differ by a
+    # unit multiplier on each factor, which fixes every S-ring (Schur)
+    from math import gcd
+
+    from circulant import enumerate_srings
+
+    pairs = 0
+    for s in range(1, 73):
+        for t in range(1, 72 // s + 1):
+            if gcd(s, t) != 1:
+                continue
+            m = s * t
+            for a in enumerate_srings(s):
+                for b in enumerate_srings(t):
+                    cells = canonical_partition(
+                        [(x1 * t + x2 * s) % m for x1 in X1 for x2 in X2]
+                        for X1 in a.cells for X2 in b.cells)
+                    assert cells == tensor(a, b).cells, (a.cells, b.cells)
+                    pairs += 1
+    assert pairs == 20171  # 2,344 with neither factor Z_1
 
 
 def test_json_round_trip(z9_fixture):
+    import json
+
     from circulant.sring import SRing
 
-    text = z9_fixture.to_json()
+    text = json.dumps({"n": z9_fixture.n, "basic_sets": [list(c) for c in z9_fixture.cells]})
     assert SRing.from_json(text) == z9_fixture

@@ -15,7 +15,6 @@ from circulant import (
     holomorph,
     induced_on_section,
     is_multiple,
-    isolated_pair,
     proj_classes,
     rank2,
     resolve,
@@ -122,11 +121,20 @@ def test_proj_classes_constant_rank():
             assert ranks == {cl.rank}
 
 
+def assert_only_extremal_pair(ring, cl):
+    """No pair (s, t) of the class with t a multiple of s other than
+    (s_min, s_max) meets the isolated-pair conditions."""
+    for s in cl.sections:
+        for t in cl.sections:
+            if (s, t) != (cl.s_min, cl.s_max) and is_multiple(t, s):
+                assert not _pair_is_isolated(ring, s, t), ((s.u, s.l), (t.u, t.l))
+
+
 def test_isolated_pair_fixture(z9_fixture):
     classes = proj_classes(z9_fixture)
     cl = class_by_smin(classes, 3, 1)
-    pair = isolated_pair(z9_fixture, cl, exhaustive=True)
-    assert pair == (cl.s_min, cl.s_max)
+    assert cl.isolated
+    assert_only_extremal_pair(z9_fixture, cl)
     assert cl.s_min.u == 3 and cl.s_min.l == 1
 
 
@@ -142,7 +150,7 @@ def test_isolated_pair_exhaustive_small():
     for ring in rings:
         for cl in proj_classes(ring):
             if cl.order > 1:
-                isolated_pair(ring, cl, exhaustive=True)
+                assert_only_extremal_pair(ring, cl)
 
 
 def test_group_ring_isolated_classes_are_degenerate():
@@ -155,8 +163,8 @@ def test_group_ring_isolated_classes_are_degenerate():
         if cl.order <= 1:
             continue
         expected = cl.s_max.u == 12 and cl.s_min.l == 1
-        got = isolated_pair(ring, cl, exhaustive=True) is not None
-        assert got == expected, (cl.s_min, cl.s_max)
+        assert_only_extremal_pair(ring, cl)
+        assert cl.isolated == expected, (cl.s_min, cl.s_max)
         assert not cl.singular
     assert singular_classes(ring) == []
     cl = class_by_smin(proj_classes(ring), 3, 1)

@@ -1,0 +1,67 @@
+"""Every function, class and method of the library has a caller outside
+the tests.
+
+The library modules (not __init__.py, whose exports do not count as a
+use), scripts/ and perfbench/ are parsed with ast, and every Name,
+Attribute and ImportFrom in them is taken as a reference.  A top-level
+function or class, or a method other than a dunder, defined in the
+library and referenced nowhere there fails the test unless it is in
+KEPT.
+
+The check is by name only: a definition that shares its name with one
+that is used counts as used.  Section.contains, for one, would be hidden
+by PermGroup.contains.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "circulant"
+
+# public names kept with no caller outside the tests, and why
+KEPT = {
+    "color_matrix": "the colour-table oracle of the automorphism search tests",
+    "canonical_gwp": "the paper's generalized wreath product of permutation groups",
+    "symmetric": "public constructor of Sym(n) with its chain built by construction",
+    "translations": "public constructor of the regular group of Z_n",
+    "wreath": "public constructor of the paper's wreath product of S-rings",
+}
+
+
+def _sources():
+    library = [p for p in sorted(LIBRARY.glob("*.py")) if p.name != "__init__.py"]
+    others = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return library, others
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    library, others = _sources()
+    defined, referenced = set(), set()
+    for path in library + others:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path in library:
+            defined.update(_definitions(tree))
+        referenced.update(_references(tree))
+    assert defined - referenced == set(KEPT)

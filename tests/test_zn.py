@@ -21,14 +21,6 @@ def test_subgroup_elements_examples():
         subgroup_elements(6, 4)
 
 
-def test_section_project_examples():
-    assert Section(8, 8, 2).project(5) == 1
-    assert Section(8, 4, 1).project(6) == 3
-    assert Section(9, 3, 1).project(6) == 2
-    with pytest.raises(DomainError):
-        Section(8, 4, 1).project(3)  # 3 not in the order-4 subgroup
-
-
 def test_is_multiple_examples():
     assert is_multiple(Section(12, 6, 3), Section(12, 2, 1))
     assert not is_multiple(Section(9, 9, 3), Section(9, 3, 1))
@@ -62,20 +54,6 @@ def test_subgroup_gcd_lcm_lattice(data):
     assert subgroup_elements(n, gcd(d1, d2)) == s1 & s2
     sumset = {(a + b) % n for a in s1 for b in s2}
     assert subgroup_elements(n, d1 * d2 // gcd(d1, d2)) == sumset
-
-
-@given(st.integers(min_value=1, max_value=240), st.data())
-def test_section_project_is_homomorphism(n, data):
-    ds = divisors(n)
-    u = data.draw(st.sampled_from(ds))
-    l = data.draw(st.sampled_from(divisors(u)))
-    sec = Section(n, u, l)
-    sub = sorted(subgroup_elements(n, u))
-    g = data.draw(st.sampled_from(sub))
-    h = data.draw(st.sampled_from(sub))
-    assert sec.project((g + h) % n) == (sec.project(g) + sec.project(h)) % sec.order
-    kernel = {x for x in sub if sec.project(x) == 0}
-    assert kernel == subgroup_elements(n, l)
 
 
 @given(st.integers(min_value=1, max_value=120))
