@@ -76,13 +76,6 @@ class Catalog:
         return iter(self.entries)
 
     @cached_property
-    def _entry_set(self) -> frozenset[SRing]:
-        return frozenset(self.entries)
-
-    def __contains__(self, ring: SRing) -> bool:
-        return ring in self._entry_set
-
-    @cached_property
     def least_points(self) -> np.ndarray:
         """Row i is the least-point map of entry i."""
         return np.array([_least_points(self.n, ring.cells) for ring in self.entries],
@@ -297,7 +290,6 @@ def brute_force_srings(n: int) -> Catalog:
 @dataclass(frozen=True)
 class SweepEntryReport:
     ring: SRing
-    schurian: bool
     trivial_radical: bool
     gwp_sections: tuple[tuple[int, int], ...]
 
@@ -361,7 +353,7 @@ def schurity_sweep(n_values, *, schurity_max_n: int = 1000,
             else:
                 flags = classify(ring)
                 bad.append(SweepEntryReport(
-                    ring=ring, schurian=False,
+                    ring=ring,
                     trivial_radical=flags.trivial_radical,
                     gwp_sections=flags.proper_gwp_sections))
         checks: list[str] = []
@@ -403,16 +395,14 @@ class Example12Params:
         return self.p * self.p * self.p3 * self.p4
 
 
-def _element_of_order(modulus: int, order: int) -> int:
-    for x in unit_group(modulus):
-        if x > 1 and multiplicative_order(modulus, x) == order:
-            return x
-    raise DomainError(f"no unit of order {order} mod {modulus}")
-
-
 def _elements_of_order(modulus: int, order: int) -> list[int]:
-    return [x for x in unit_group(modulus)
-            if x > 1 and multiplicative_order(modulus, x) == order]
+    """The units x > 1 of the given multiplicative order, ascending;
+    DomainError when there is none."""
+    found = [x for x in unit_group(modulus)
+             if x > 1 and multiplicative_order(modulus, x) == order]
+    if not found:
+        raise DomainError(f"no unit of order {order} mod {modulus}")
+    return found
 
 
 def _crt(a: int, n1: int, b: int, n2: int) -> int:
@@ -445,12 +435,12 @@ def example12(params: Example12Params) -> Example12Result:
     p, p3, p4, d = params.p, params.p3, params.p4, params.d
     n = params.n
 
-    a = _element_of_order(p * p, p * d)
-    b = _element_of_order(p3, p)
+    a = _elements_of_order(p * p, p * d)[0]
+    b = _elements_of_order(p3, p)[0]
     m_gen = _crt(a, p * p, b, p3)
     left = cyclotomic(p * p * p3, (m_gen,))
 
-    c = _element_of_order(p, d)
+    c = _elements_of_order(p, d)[0]
     if params.phi_choice is not None:
         e1, e2 = params.phi_choice
         for e in (e1, e2):

@@ -12,11 +12,13 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .errors import BudgetError, DomainError
 from .catalog import (
     ENUMERATE_MAX_N,
     Example12Params,
+    _elements_of_order,
     enumerate_srings,
     example12,
     schurity_sweep,
@@ -42,7 +44,7 @@ from .sring import (
     subgroup_lattice,
     tensor,
 )
-from .structure import proj_classes, resolve, singular_classes
+from .structure import proj_classes, resolve
 from .zn import Section, big_omega
 
 
@@ -140,7 +142,7 @@ def cmd_analyze(args) -> dict:
             }
             for cl in classes
         ],
-        "singular_classes": len(singular_classes(ring)),
+        "singular_classes": sum(cl.singular for cl in classes),
     }
 
 
@@ -242,16 +244,12 @@ def cmd_resolve(args) -> dict:
 
 
 def cmd_example12(args) -> dict:
-    phi = None
-    if args.phi is not None:
-        phi = tuple(_ints("--phi", args.phi, 2))
-    elif args.equal:
-        from .zn import multiplicative_order, unit_group
-        image = next(x for x in unit_group(args.p4)
-                     if x > 1 and multiplicative_order(args.p4, x) == args.d)
-        phi = (image, image)
+    phi = None if args.phi is None else tuple(_ints("--phi", args.phi, 2))
     params = Example12Params(p=args.p, p3=args.p3, p4=args.p4, d=args.d,
                              phi_choice=phi)
+    if args.equal and phi is None:
+        image = _elements_of_order(args.p4, args.d)[0]
+        params = replace(params, phi_choice=(image, image))
     result = example12(params)
     sec = result.certificate_section
     report = nonschurity_criterion(result.ring, sec,

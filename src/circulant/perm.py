@@ -11,13 +11,17 @@ by construction is assembled from its levels instead
 transposition levels, and the Schreier trees of other levels, make their
 representatives on demand rather than store them.
 
-Point orbits and orbits on ordered pairs are the connected components of
-a graph whose edges the generators give, found by one numpy routine: min
-label propagation with pointer jumping.  When x -> x+1 is a generator the
-group holds every translation, so (x, y) lies in the orbit of (0, y - x)
-and the 2-orbits are classes of differences, d ~ g(x+d) - g(x) over every
-generator g and every x: n nodes instead of n^2.  Other groups take the
-n^2 pair nodes.
+Every group compared by its orbits on ordered pairs contains the
+translations of Z_m, and the routines that compare them require it: a
+group that does not contain x -> x+1, as a generator or as a member, is
+a DomainError.  Such a group takes (x, y) to (0, y - x), so its 2-orbits
+are the classes of differences y - x, which are the orbits of its
+stabilizer of 0 on Z_m.  A chain built by ``translation_chain`` gives
+them as the point orbits of its level 1; any other group as the
+components of the difference graph, d ~ g(x+d) - g(x) over every
+generator g and every x.  Both take m nodes.  Point orbits and these
+components are found by one numpy routine: min label propagation with
+pointer jumping.
 
 The action induced on a section U/L requires a group that contains
 x -> x+1 and has the U-cosets and L-cosets as blocks.  The translations
@@ -39,9 +43,9 @@ Perm = tuple
 
 INTERSECT_ENUM_THRESHOLD = 10 ** 6
 INDUCED_TABLE_LIMIT = 10 ** 4
-# edge targets per block in the orbit routines (512 KB as int64), so that
-# no temporary grows with the square of the degree; a block still holds
-# at least one row x for every generator
+# edge targets per block of the difference graph (512 KB as int64), so
+# that no temporary grows with the square of the degree; a block still
+# holds at least one row x for every generator
 _EDGE_BLOCK = 1 << 16
 
 
@@ -488,26 +492,25 @@ def _perm_stack(generators, degree: int) -> np.ndarray:
 def _least_in_component(size: int, edge_blocks) -> np.ndarray:
     """The least node of the connected component of each node 0..size-1.
 
-    ``edge_blocks()`` yields (start, targets) pairs, where column j of the
-    2-D index array ``targets`` lists neighbours of node start + j; every
-    edge must also be listed reversed.  It is called once per round: each
-    node and the root its label names take the least label among the
-    node's neighbours, then labels jump to their label's label until they
-    stop moving.  Labels only fall and stay within the component, and once
-    a round moves none, neighbours agree, so each label is its component's
-    least node.  Moving the roots keeps long cycles short: the pairs of
-    Z_1000 under x -> x+3 and x -> -x take 3 rounds, and 146 without.
+    ``edge_blocks()`` yields 2-D index arrays whose column j lists
+    neighbours of node j; every edge must also be listed reversed.  It is
+    called once per round: each node and the root its label names take
+    the least label among the node's neighbours, then labels jump to their
+    label's label until they stop moving.  Labels only fall and stay
+    within the component, and once a round moves none, neighbours agree,
+    so each label is its component's least node.  Moving the roots keeps
+    long cycles short: the points of Z_1000 under x -> x+3 and x -> -x
+    take 3 rounds, and 169 without.
     """
     lab = np.arange(size)
     while True:
         changed = False
-        for start, targets in edge_blocks():
-            own = lab[start:start + targets.shape[1]]
+        for targets in edge_blocks():
             nearest = lab[targets].min(axis=0)
-            if (nearest < own).any():
+            if (nearest < lab).any():
                 changed = True
-                np.minimum.at(lab, own.copy(), nearest)
-                np.minimum(own, nearest, out=own)
+                np.minimum.at(lab, lab.copy(), nearest)
+                np.minimum(lab, nearest, out=lab)
         if not changed:
             return lab
         while True:
@@ -517,105 +520,109 @@ def _least_in_component(size: int, edge_blocks) -> np.ndarray:
             lab = jumped
 
 
-def _row_blocks(perms: np.ndarray):
-    """Slices of rows x such that a block of targets over all perms, rows
-    and m columns holds about _EDGE_BLOCK entries (none without perms)."""
-    k, m = perms.shape
-    if k == 0:
-        return
-    rows = max(1, _EDGE_BLOCK // (k * m))
-    for x0 in range(0, m, rows):
-        yield slice(x0, min(x0 + rows, m))
+def _least_in_orbit(degree: int, generators) -> np.ndarray:
+    """The least point of the orbit of each point under the generators."""
+    perms = _perm_stack(generators, degree)
+    blocks = [perms] if len(perms) else []
+    return _least_in_component(degree, lambda: blocks)
+
+
+def _classes(least: np.ndarray) -> list[list[int]]:
+    """The classes that ``least`` names by their least member, each
+    sorted, ordered by least member."""
+    points = np.argsort(least, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(least[points])) + 1).tolist(), least.size]
+    points = points.tolist()
+    return [points[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def orbits(degree: int, generators) -> list[list[int]]:
     """Point orbits of the group generated, each sorted, ordered by least
     point."""
-    perms = _perm_stack(generators, degree)
-    blocks = [(0, perms)] if len(perms) else []
-    least = _least_in_component(degree, lambda: blocks)
-    points = np.argsort(least, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(least[points])) + 1).tolist(), degree]
-    points = points.tolist()
-    return [points[a:b] for a, b in zip(cuts, cuts[1:])]
+    return _classes(_least_in_orbit(degree, generators))
 
 
 def _difference_edges(perms: np.ndarray):
     """Edges d -> g(x+d) - g(x) of the difference graph, for a block of
-    rows x at a time."""
-    m = perms.shape[1]
+    rows x at a time: about _EDGE_BLOCK targets over all perms, rows and
+    differences (no block without perms)."""
+    k, m = perms.shape
     # shifted[i, x] is perms[i] at x + d for d = 0..m-1
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([perms, perms], axis=1), m, axis=1)
-    for xs in _row_blocks(perms):
+    rows = max(1, _EDGE_BLOCK // max(1, k * m))
+    for x0 in range(0, m if k else 0, rows):
+        xs = slice(x0, min(x0 + rows, m))
         targets = shifted[:, xs] - perms[:, xs, None]
         targets %= m
-        yield 0, targets.reshape(-1, m)
+        yield targets.reshape(-1, m)
 
 
-def _pair_edges(perms: np.ndarray):
-    """Edges (x, y) -> (g(x), g(y)) over the pair nodes x*m + y, for a
-    block of rows x at a time."""
-    k, m = perms.shape
-    for xs in _row_blocks(perms):
-        targets = perms[:, xs, None] * m + perms[:, None, :]
-        yield xs.start * m, targets.reshape(k, -1)
+def _require_translations(group: PermGroup) -> None:
+    """Raise DomainError unless the group contains x -> x+1."""
+    step = translation(group.degree, 1)
+    if step not in group.generators and not group.contains(step):
+        raise DomainError("the group does not contain x -> x+1")
+
+
+def _has_translation_chain(group: PermGroup) -> bool:
+    """Whether the group's chain was built by translation_chain, so that
+    its level 1 generates the stabilizer of 0."""
+    levels = group._chain.transversals if group._chain is not None else []
+    return bool(levels) and isinstance(levels[0], _Translations)
 
 
 def _two_orbit_classes(group: PermGroup) -> np.ndarray:
-    """Least member of each node's 2-orbit class, cached on the group.
-
-    The nodes are the m differences when x -> x+1 is a generator, else the
-    m*m pairs x*m + y.
-    """
+    """Least member of the class of each difference 0..m-1, cached on the
+    group: the orbits of its stabilizer of 0.  Raises DomainError, before
+    any array is built, unless the group contains x -> x+1."""
     if group._two_orbit_labels is None:
+        _require_translations(group)
         m = group.degree
-        perms = _perm_stack(group.generators, m)
-        if translation(m, 1) in group.generators:
+        if _has_translation_chain(group):
+            least = _least_in_orbit(m, group.chain.level_generators(1))
+        else:
+            perms = _perm_stack(group.generators, m)
             # a translation adds only the loops d -> d
             moving = ((perms - perms[:, :1]) % m != np.arange(m)).any(axis=1)
             perms = perms[moving]
-            group._two_orbit_labels = _least_in_component(
-                m, lambda: _difference_edges(perms))
-        else:
-            group._two_orbit_labels = _least_in_component(
-                m * m, lambda: _pair_edges(perms))
+            least = _least_in_component(m, lambda: _difference_edges(perms))
+        group._two_orbit_labels = least
     return group._two_orbit_labels
 
 
-def two_orbits(group: PermGroup) -> np.ndarray:
-    """Orbit labels of the coordinatewise action on ordered pairs.
+def difference_classes(group: PermGroup) -> list[list[int]]:
+    """The classes of differences y - x of the 2-orbits of a group that
+    contains x -> x+1, which are the orbits of its stabilizer of 0: each
+    sorted, ordered by least member."""
+    return _classes(_two_orbit_classes(group))
 
-    Returns an m x m int32 matrix; labels are assigned in row-major order
-    of first encounter, so equal partitions yield identical matrices.
-    That order ranks the orbits by their least pair.  A group with
-    x -> x+1 among its generators has the label of the difference class
-    of y - x at (x, y), and a class's least difference d sits at (0, d),
-    so its classes rank by least member.
+
+def two_orbits(group: PermGroup) -> np.ndarray:
+    """Orbit labels of the coordinatewise action on ordered pairs, for a
+    group that contains x -> x+1 (else DomainError).
+
+    Returns an m x m int32 matrix, the only m x m array built here;
+    labels are assigned in row-major order of first encounter, so equal
+    partitions yield identical matrices.  (x, y) has the label of the
+    difference class of y - x, and a class's least difference d sits at
+    (0, d), so the classes rank by least member.
     """
     m = group.degree
     least = _two_orbit_classes(group)
-    roots = least == np.arange(least.size)
-    labels = (np.cumsum(roots, dtype=np.int32) - 1)[least]
-    if least.size == m * m:
-        return labels.reshape(m, m)
+    labels = (np.cumsum(least == np.arange(m), dtype=np.int32) - 1)[least]
     # row x is the difference labels rolled right by x
     twice = np.concatenate([labels, labels])
     return np.lib.stride_tricks.sliding_window_view(twice, m)[m:0:-1].copy()
 
 
 def two_equivalent(g1: PermGroup, g2: PermGroup) -> bool:
-    """Whether the two groups have identical orbits on ordered pairs.  Two
-    groups with x -> x+1 among their generators compare their difference
-    classes and build no m x m matrix."""
+    """Whether the two groups have identical orbits on ordered pairs, for
+    groups that contain x -> x+1 (else DomainError): whether their
+    difference classes agree.  Builds no m x m array."""
     if g1.degree != g2.degree:
         raise DomainError(f"degree mismatch: {g1.degree} != {g2.degree}")
-    if g1 is g2:
-        return True
-    c1, c2 = _two_orbit_classes(g1), _two_orbit_classes(g2)
-    if c1.size == c2.size:
-        return bool(np.array_equal(c1, c2))
-    return bool(np.array_equal(two_orbits(g1), two_orbits(g2)))
+    return bool(np.array_equal(_two_orbit_classes(g1), _two_orbit_classes(g2)))
 
 
 def _check_section(group: PermGroup, sec: Section) -> None:
@@ -629,9 +636,7 @@ def _check_section(group: PermGroup, sec: Section) -> None:
     if moved.any():
         raise DomainError(
             f"section not invariant under generator {group.generators[moved.argmax()]}")
-    step = translation(n, 1)
-    if step not in group.generators and not group.contains(step):
-        raise DomainError("the group does not contain x -> x+1")
+    _require_translations(group)
 
 
 def section_action(g: Perm, j: int, sec: Section) -> tuple[int, Perm]:

@@ -56,9 +56,9 @@ from .errors import BudgetError, DomainError
 from .perm import (
     PermGroup,
     SchreierTree,
+    difference_classes,
     induced_on_section,
     intersect,
-    orbits,
     symmetric_chain,
     translation_chain,
     two_equivalent,
@@ -452,9 +452,9 @@ def aut_group(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
 
 def stabilizer0_orbits(ring: SRing, **kwargs) -> tuple[tuple[int, ...], ...]:
     """Orbits on Z_n of the stabilizer of 0 in Aut(ring), canonical form:
-    those of level 1 of its chain, whose base starts at 0."""
-    gens = aut_group(ring, **kwargs).chain.level_generators(1)
-    return tuple(tuple(orbit) for orbit in orbits(ring.n, gens))
+    the difference classes of Aut's 2-orbits, cached on the group, so
+    that schurity and every 2-equivalence test with Aut find them once."""
+    return tuple(map(tuple, difference_classes(aut_group(ring, **kwargs))))
 
 
 def is_schurian(ring: SRing, *, max_n: int = DEFAULT_SCHURITY_MAX_N,

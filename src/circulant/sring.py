@@ -501,13 +501,9 @@ def radical(ring: SRing) -> int:
     return orders.pop()
 
 
+@lru_cache(maxsize=65536)
 def subgroup_lattice(ring: SRing) -> tuple[int, ...]:
     """Orders d | n whose subgroup is a union of basic sets, sorted ascending."""
-    return _lattice_cached(ring)
-
-
-@lru_cache(maxsize=65536)
-def _lattice_cached(ring: SRing) -> tuple[int, ...]:
     n = ring.n
     out = []
     for d in divisors(n):

@@ -139,9 +139,11 @@ Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
     ["validate", "--ring", '{"n": true, "basic_sets": [[0]]}'],
     ["validate", "--ring", '{"n":4,"basic_sets":[[0],[1,3],[2],[]]}'],
     ["validate", "--n", "4", "--ring", '{"basic_sets":[]}'],
+    ["example12", "--equal", "--d", "5"],
+    ["example12", "--equal", "--p4", "2"],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
-        "empty-cell", "no-cells"])
+        "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2"])
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)

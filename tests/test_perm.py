@@ -26,6 +26,7 @@ from circulant import (
 from circulant.perm import (
     PermGroup,
     StabChain,
+    _has_translation_chain,
     check_perm,
     groups_equal,
     identity,
@@ -174,15 +175,27 @@ def test_two_orbits_redundant_generators(m, rng):
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=3),
-       st.booleans(), st.randoms())
+       st.sampled_from(["inserted", "generated", "absent"]), st.randoms())
 @settings(max_examples=60, deadline=None)
-def test_two_orbits_matches_pair_bfs(m, ngens, with_unit_translation, rng):
+def test_two_orbits_matches_pair_bfs(m, ngens, step, rng):
+    # x -> x+1 is a generator, or is generated by x -> x+k with
+    # gcd(k, m) = 1, or is in the group only if the random generators make it
     gens = [tuple(rng.sample(range(m), m)) for _ in range(ngens)]
-    if with_unit_translation:
+    if step == "inserted":
         gens.insert(0, translation(m, 1))
+    elif step == "generated":
+        k = rng.choice([k for k in range(2, m) if math.gcd(k, m) == 1] or [1])
+        gens.insert(rng.randint(0, len(gens)), translation(m, k))
     group = PermGroup(m, gens)
     labels = pair_bfs_two_orbits(group)
-    assert_same_labels(two_orbits(group), labels)
+    if group.contains(translation(m, 1)):
+        assert_same_labels(two_orbits(group), labels)
+    else:
+        assert step == "absent"
+        with pytest.raises(DomainError, match="x -> x\\+1"):
+            two_orbits(group)
+        with pytest.raises(DomainError):
+            two_equivalent(group, translations(m))
     # the point orbits are the orbits on the diagonal pairs (x, x)
     diagonal = {}
     for x in range(m):
@@ -192,35 +205,66 @@ def test_two_orbits_matches_pair_bfs(m, ngens, with_unit_translation, rng):
 
 def test_two_orbits_of_catalog_groups_match_pair_bfs():
     # every Aut group and resolve group over the catalogs with n <= 24;
-    # both kinds have x -> x+1 among their generators
+    # Aut reads its classes from level 1 of its chain, the copies from
+    # their difference graphs, and both kinds have x -> x+1 among their
+    # generators
     for n in range(1, 25):
         for ring in enumerate_srings(n):
-            for group in (aut_group(ring), resolve(ring).group):
+            aut = aut_group(ring)
+            assert n == 1 or _has_translation_chain(aut)
+            for group in (aut, resolve(ring).group):
+                want = pair_bfs_two_orbits(group)
                 fresh = PermGroup(n, group.generators)
                 assert n == 1 or translation(n, 1) in fresh.generators
-                assert_same_labels(two_orbits(fresh), pair_bfs_two_orbits(group))
+                assert not _has_translation_chain(fresh)
+                assert_same_labels(two_orbits(fresh), want)
+                assert_same_labels(two_orbits(group), want)
 
 
-def test_two_equivalent_mixes_difference_and_pair_classes():
-    # holomorph(m) has x -> x+1 among its generators; the same group from
-    # x -> x+2 and the unit multipliers does not, nor does a point stabilizer
+def test_two_equivalent_compares_differences_without_x_plus_1_as_generator():
+    # the same group as holomorph(m) from x -> x+2 and the unit
+    # multipliers for odd m; for even m those, and a point stabilizer
+    # always, lack x -> x+1
     for m in (5, 7, 9, 12):
         hol = holomorph(m)
         other = PermGroup(m, [translation(m, 2)] + list(hol.generators[1:]))
         stab = PermGroup(m, hol.generators[1:])
-        for a, b in ((hol, other), (other, hol), (hol, stab), (stab, hol)):
-            want = np.array_equal(pair_bfs_two_orbits(a), pair_bfs_two_orbits(b))
-            assert two_equivalent(a, b) == want
-        assert two_equivalent(hol, other) == (m % 2 == 1)
-        assert not two_equivalent(hol, stab)
-    # one dihedral group of Z_400 through long cycles of pairs, and through
-    # its differences
+        if m % 2:
+            assert_same_labels(two_orbits(other), pair_bfs_two_orbits(other))
+            assert two_equivalent(hol, other) and two_equivalent(other, hol)
+        else:
+            with pytest.raises(DomainError):
+                two_equivalent(hol, other)
+            with pytest.raises(DomainError):
+                two_equivalent(other, hol)
+        with pytest.raises(DomainError):
+            two_equivalent(hol, stab)
+        with pytest.raises(DomainError):
+            two_equivalent(stab, hol)
+    # one dihedral group of Z_400, with x -> x+1 generated by x -> x+3,
+    # and with x -> x+1 as a generator
     m = 400
     flip = tuple(-x % m for x in range(m))
     pairs = PermGroup(m, [translation(m, 3), flip])
     differences = PermGroup(m, [translation(m, 1), flip])
     assert_same_labels(two_orbits(pairs), two_orbits(differences))
     assert two_equivalent(pairs, differences)
+
+
+def test_translation_free_group_raises_before_building_arrays():
+    # the old pair-node route labelled n * n pairs, 32 MB as int64
+    n = 2000
+    flip = PermGroup(n, [tuple(-x % n for x in range(n))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            two_orbits(flip)
+        with pytest.raises(DomainError):
+            two_equivalent(flip, translations(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_two_equivalent_of_translation_groups_builds_no_pair_matrix():
@@ -461,10 +505,11 @@ def test_holomorph_product_has_no_smaller_two_equivalent_subgroup():
     gens += [embed(identity(3), g) for g in h5.generators]
     delta = PermGroup(15, gens)
     assert delta.order() == h3.order() * h5.order()
+    assert delta.contains(translation(15, 1))
     rng = random.Random(5)
     elements = list(delta.elements())
     for _ in range(12):
-        sub = PermGroup(15, rng.sample(elements, 3))
+        sub = PermGroup(15, [translation(15, 1)] + rng.sample(elements, 2))
         if two_equivalent(sub, delta):
             assert sub.order() == delta.order()
         else:
