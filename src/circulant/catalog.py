@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .scheme import is_normal, is_schurian
+from .scheme import DEFAULT_NODE_BUDGET, is_normal, is_schurian
 from .sring import (
     SRing,
     canonical_partition,
@@ -336,18 +336,17 @@ def _nonschurian_structure_checks(ring: SRing) -> list[str]:
 
 
 def schurity_sweep(n_values, *, schurity_max_n: int = 1000,
-                   node_budget: int | None = None) -> list[SweepReport]:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> list[SweepReport]:
     """Per modulus: entry count, schurian count, and for each non-schurian
     entry its proper gwp sections plus the structural facts for four-prime
     moduli."""
     reports = []
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
     for n in n_values:
         catalog = enumerate_srings(n)
         bad = []
         schurian_count = 0
         for ring in catalog:
-            ok = is_schurian(ring, max_n=schurity_max_n, **kwargs)
+            ok = is_schurian(ring, max_n=schurity_max_n, node_budget=node_budget)
             if ok:
                 schurian_count += 1
             else:
@@ -412,7 +411,6 @@ def _crt(a: int, n1: int, b: int, n2: int) -> int:
 
 @dataclass(frozen=True)
 class Example12Result:
-    params: Example12Params
     ring: SRing
     left: SRing                # cyclotomic ring over Z_{p^2 p3}
     right: SRing               # wreath-type ring over Z_{p^2 p4}
@@ -469,7 +467,7 @@ def example12(params: Example12Params) -> Example12Result:
 
     ring = generalized_wreath(left, right, Section(n, p * p * p3, p3))
     return Example12Result(
-        params=params, ring=ring, left=left, right=right,
+        ring=ring, left=left, right=right,
         m_generator=m_gen, m1_generator=m1_gen, m2_generator=m2_gen,
         certificate_section=Section(n, p * p * p3, p3),
     )

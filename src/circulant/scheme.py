@@ -482,7 +482,6 @@ def is_normal(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
 @dataclass(frozen=True)
 class NonSchurityReport:
     holds: bool
-    section: Section
     intersection_order: int
     section_aut_order: int
     induced_orders: tuple[int, int]
@@ -517,7 +516,6 @@ def nonschurity_criterion(ring: SRing, sec: Section, *,
     holds = not two_equivalent(inter, aut_s)
     return NonSchurityReport(
         holds=holds,
-        section=sec,
         intersection_order=inter.order(),
         section_aut_order=aut_s.order(),
         induced_orders=(ind_u.order(), ind_gl.order()),

@@ -1,7 +1,7 @@
 """Projective classes of sections, isolated pairs, singular classes, the
 extension construction, automorphism subgroups built from a transitive
 group on a section, the canonical generalized wreath product of
-permutation groups, and the singularity-resolution recursion."""
+permutation groups, and the resolution of singularities."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ class ProjClass:
     primitive: bool
     isolated: bool
     singular: bool
-    normal: bool | None = None
 
     def sort_key(self):
         return (self.order, self.s_min.u, self.s_min.l)
@@ -127,13 +126,14 @@ def singular_classes(ring: SRing) -> list[ProjClass]:
 
 def ext(ring: SRing, cl: ProjClass, finer: SRing) -> SRing:
     """Extension of the ring over an isolated class: the rank-2 section
-    ring on S = s_min is replaced by the finer ring ``finer``.
+    ring on S = s_min is replaced by the finer ring ``finer``.  The pair
+    (s_min, s_max) is checked to be isolated in ``ring`` itself.
 
     Built as A1 wr_{U1/L0} A2 with
     A1 = A_{U0} wr_{U0/L0} (B (x) A_{U0/L0}) over U1 and
     A2 = (B (x) A_{U0/L0}) wr_{U1/L1} A_{G/L1} over G/L0.
     """
-    if not cl.isolated:
+    if cl.order <= 1 or not _pair_is_isolated(ring, cl.s_min, cl.s_max):
         raise DomainError("extension requires an isolated class")
     n = ring.n
     l1, l0 = cl.s_min.u, cl.s_min.l
@@ -287,26 +287,27 @@ def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
     """A subgroup of Sym(Z_n) that is 2-equivalent to Aut(ring) for
     schurian rings, built by resolving prime-order singular classes.
 
-    With no prime-order singular class this is Aut(ring) itself; otherwise
-    the class with least (order, s_min) is extended with the full group
-    ring on S, the extension is resolved recursively, and the result is
-    joined with the Gwr group of the class for M = Hol(S).
+    With no prime-order singular class this is Aut(ring) itself.
+    Otherwise the ring is extended over each such class in (order, s_min)
+    order with the full group ring on S: an extension keeps the A-subgroup
+    lattice and loses just the class it was taken over, so the ring's own
+    classes serve every extension.  Aut of the last extension is joined
+    with the Gwr groups of the classes for M = Hol(S), last class first.
     """
-    group = _resolve_group(ring, aut_max_n, node_budget)
+    prime_classes = [cl for cl in singular_classes(ring) if is_prime(cl.order)]
+    extended = ring
+    for cl in prime_classes:
+        extended = ext(extended, cl, group_ring(cl.order))
+    group = aut_group(extended, max_n=aut_max_n, node_budget=node_budget)
+    if prime_classes:
+        gens = list(group.generators)
+        for cl in reversed(prime_classes):
+            spec = GwrSpec(cl.s_min, cl.s_max, holomorph(cl.order))
+            gens.extend(gwr_group(ring.n, spec).generators)
+        group = PermGroup(ring.n, gens)
     try:
         verified = two_equivalent(group, aut_group(
             ring, max_n=aut_max_n, node_budget=node_budget))
     except BudgetError:
         verified = None
     return ResolveResult(group=group, verified=verified)
-
-
-def _resolve_group(ring: SRing, aut_max_n: int, node_budget: int) -> PermGroup:
-    prime_classes = [cl for cl in singular_classes(ring) if is_prime(cl.order)]
-    if not prime_classes:
-        return aut_group(ring, max_n=aut_max_n, node_budget=node_budget)
-    cl = min(prime_classes, key=ProjClass.sort_key)
-    extended = ext(ring, cl, group_ring(cl.order))
-    sub = _resolve_group(extended, aut_max_n, node_budget)
-    delta = gwr_group(ring.n, GwrSpec(cl.s_min, cl.s_max, holomorph(cl.order)))
-    return PermGroup(ring.n, sub.generators + delta.generators)

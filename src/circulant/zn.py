@@ -10,7 +10,6 @@ respectively, so every quotient is materialized as a concrete Z_m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
@@ -26,7 +25,6 @@ def check_modulus(n: int) -> None:
         raise DomainError(f"modulus {n} exceeds the configured limit {MAX_MODULUS}")
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All divisors of n in increasing order."""
     check_modulus(n)

@@ -172,8 +172,8 @@ def test_help_exits_zero(capsys):
 
 
 # sha256 prefixes of the stdout of the README's CLI examples, in README
-# order with an `aut` call second; `sweep` runs with --jobs 1, whose output
-# is the same as with --jobs 2
+# order with an `aut` call second; `sweep` runs with --jobs 1 and, as in the
+# README, with --jobs 2 (two worker processes), and both print the same
 PINNED_OUTPUT = [
     (["schurity", "--n", "8", "--ring", Z8_RING], "3d2b7f7c7a1291ad"),
     (["aut", "--n", "8", "--ring", Z8_RING], "e8b7ecb2f50f2164"),
@@ -182,6 +182,7 @@ PINNED_OUTPUT = [
       "--left", Z3, "--right", Z3], "07f2bcdd79ed1b46"),
     (["enumerate", "--n", "16"], "823771c3d3ef68c8"),
     (["sweep", "--ns", "16,24,36", "--jobs", "1"], "f89305a58f8609d2"),
+    (["sweep", "--ns", "16,24,36", "--jobs", "2"], "f89305a58f8609d2"),
     (["resolve", "--n", "9", "--ring", Z9_RING], "433685bd9aff8d60"),
     (["nonschurity", "--n", "9", "--u", "3", "--l", "3", "--ring", Z9_RING],
      "1ff51b2d94db9ab5"),
@@ -191,8 +192,13 @@ PINNED_OUTPUT = [
 ]
 
 
+def _pinned_id(argv, digest):
+    jobs = argv[argv.index("--jobs") + 1] if "--jobs" in argv else "1"
+    return f"{argv[0]}-{digest}" + ("" if jobs == "1" else f"-jobs{jobs}")
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUT,
-                         ids=[f"{argv[0]}-{digest}" for argv, digest in PINNED_OUTPUT])
+                         ids=[_pinned_id(argv, digest) for argv, digest in PINNED_OUTPUT])
 def test_readme_examples_print_pinned_output(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

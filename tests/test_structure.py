@@ -27,8 +27,10 @@ from circulant import (
     GwrSpec,
     canonical_gwp,
 )
-from circulant.perm import groups_equal, kernel_on_blocks
+from circulant import structure
+from circulant.perm import PermGroup, groups_equal, kernel_on_blocks
 from circulant.structure import ProjClass, _pair_is_isolated
+from circulant.zn import is_prime
 from circulant.scheme import color_matrix
 import numpy as np
 
@@ -362,7 +364,7 @@ def test_resolve_induces_product_of_holomorphs():
     # section ring = rank2(3) (x) rank2(5): the resolved group acts on the
     # section as the product of the two holomorphs under the CRT embedding
     from circulant import group_ring, is_schurian, tensor
-    from circulant.perm import PermGroup, identity
+    from circulant.perm import identity
     from circulant.zn import crt_idempotents
 
     s_ring = tensor(rank2(3), rank2(5))
@@ -389,3 +391,56 @@ def test_resolve_prime_class_induces_holomorph(z9_fixture):
         for sec in cl.sections:
             ind = induced_on_section(result.group, sec)
             assert groups_equal(ind, holomorph(sec.order))
+
+
+def recursive_resolve_group(ring):
+    """Oracle: the recursive resolution.  Extend over the least prime
+    singular class of the ring, resolve the extension from its own
+    classes, and join with the Gwr group of the class for M = Hol(S)."""
+    prime_classes = [cl for cl in singular_classes(ring) if is_prime(cl.order)]
+    if not prime_classes:
+        return aut_group(ring)
+    cl = prime_classes[0]
+    sub = recursive_resolve_group(ext(ring, cl, group_ring(cl.order)))
+    delta = gwr_group(ring.n, GwrSpec(cl.s_min, cl.s_max, holomorph(cl.order)))
+    return PermGroup(ring.n, sub.generators + delta.generators)
+
+
+def test_resolve_matches_the_recursive_resolution():
+    # the loop extends over the ring's own prime singular classes; the
+    # recursion re-analyses each extension.  Same generators, in order.
+    checked = 0
+    for n in range(1, 31):
+        for ring in enumerate_srings(n):
+            if not any(is_prime(cl.order) for cl in singular_classes(ring)):
+                continue
+            assert resolve(ring).group.generators == recursive_resolve_group(ring).generators
+            checked += 1
+    assert checked == 288
+
+
+def test_resolve_runs_proj_classes_once(z9_fixture, monkeypatch):
+    # the fixture has two prime singular classes, and only the ring itself
+    # is analysed
+    calls = []
+
+    def counted(ring):
+        calls.append(ring)
+        return proj_classes(ring)
+
+    monkeypatch.setattr(structure, "proj_classes", counted)
+    assert resolve(z9_fixture).verified is True
+    assert calls == [z9_fixture]
+
+
+def test_ext_checks_isolation_in_the_ring_it_is_given():
+    # ((6,2), (6,2)) is an isolated singular class of Z_2 wr rank2(3) but
+    # not isolated in Cyc({+-1}, Z_6): its basic set {1, 5} is not a union
+    # of cosets of the order-2 subgroup
+    rings = enumerate_srings(6)
+    source = next(r for r in rings if r.cells == ((0,), (1, 2, 4, 5), (3,)))
+    cl = next(c for c in singular_classes(source) if c.s_min == c.s_max == Section(6, 6, 2))
+    ring = cyclotomic(6, (5,))
+    assert not _pair_is_isolated(ring, cl.s_min, cl.s_max)
+    with pytest.raises(DomainError, match="extension requires an isolated class"):
+        ext(ring, cl, group_ring(3))
