@@ -7,9 +7,10 @@ supports membership sifting; a base prefix can be prescribed, which is
 how the kernel on a block system is computed (the blocks must be
 invariant: every generator maps each block onto a block).  A chain known
 by construction is assembled from its levels instead
-(``translation_chain``, ``symmetric_chain``); its translation and
-transposition levels, and the Schreier trees of other levels, make their
-representatives on demand rather than store them.
+(``translation_chain``, ``symmetric_chain``, ``holomorph``); its
+translation, transposition and multiplier levels, and the Schreier trees
+of other levels, make their representatives on demand rather than store
+them.
 
 Every group compared by its orbits on ordered pairs contains the
 translations of Z_m, and the routines that compare them require it: a
@@ -27,7 +28,10 @@ The action induced on a section U/L requires a group that contains
 x -> x+1 and has the U-cosets and L-cosets as blocks.  The translations
 t_j are then coset representatives of the setwise stabilizer of U, and
 its Schreier generators t_j g t_k^-1 are read only at the u/l points of U
-that give their action on U/L.
+that give their action on U/L.  A group with a translation chain is
+T G_0, the translations times the stabilizer of 0; its induced group and
+the intersection of two such groups are built the same way, with
+Schreier-Sims and enumeration confined to the stabilizers of 0.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .zn import Section, multiplicative_closure, unit_group
+from .zn import Section, is_unit, multiplicative_closure, unit_group
 
 Perm = tuple
 
@@ -88,6 +92,10 @@ def translation(n: int, k: int) -> Perm:
     return tuple((x + k) % n for x in range(n))
 
 
+def _multiplier(n: int, a: int) -> Perm:
+    return tuple((a * x) % n for x in range(n))
+
+
 def _transposition(n: int, a: int, b: int) -> Perm:
     img = list(range(n))
     img[a], img[b] = b, a
@@ -111,6 +119,28 @@ class _Translations(Mapping):
 
     def __iter__(self):
         return iter(range(self.n))
+
+
+class _Multipliers(Mapping):
+    """Level 1 of Hol(Z_n) over the base 0, 1: the transversal
+    {a: (x -> a*x, x -> a^-1*x)} over the units a, made on demand.  The
+    stabilizer of 0 is the group of unit multipliers, which is regular on
+    the orbit of 1, the units, so no level follows."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.units = unit_group(n)
+
+    def __getitem__(self, a: int) -> tuple[Perm, Perm]:
+        if not (0 <= a < self.n and is_unit(self.n, a)):
+            raise KeyError(a)
+        return _multiplier(self.n, a), _multiplier(self.n, pow(a, -1, self.n))
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __iter__(self):
+        return iter(self.units)
 
 
 class _Transpositions(Mapping):
@@ -374,6 +404,13 @@ def translation_chain(n: int, levels=()) -> StabChain:
     return StabChain.from_levels(n, [level0, *levels])
 
 
+def _levels(chain: StabChain, start: int = 0) -> list:
+    """The (basepoint, transversal, generators) triples of a chain from
+    the given level on, as from_levels takes them."""
+    return list(zip(chain.base[start:], chain.transversals[start:],
+                    chain.gen_lists[start:]))
+
+
 def symmetric_chain(n: int) -> StabChain:
     """Chain of Sym(n) (n >= 2) over the base 0, 1, ..., n-2: translations,
     then transposition levels, all made on demand."""
@@ -461,13 +498,15 @@ def unit_generators(m: int) -> tuple[int, ...]:
 
 
 def holomorph(m: int) -> PermGroup:
-    """Hol(Z_m): generated by x -> x+1 and x -> g*x for unit generators g."""
+    """Hol(Z_m): generated by x -> x+1 and x -> g*x for unit generators g.
+    Its chain is known by construction: the translations, then the unit
+    multipliers (the stabilizer of 0) at base point 1; order m * phi(m)."""
     if m == 1:
         return trivial_group(1)
-    gens = [translation(m, 1)]
-    for g in unit_generators(m):
-        gens.append(tuple((g * x) % m for x in range(m)))
-    return PermGroup(m, gens)
+    multipliers = [_multiplier(m, g) for g in unit_generators(m)]
+    levels = [(1, _Multipliers(m), multipliers)] if multipliers else []
+    return PermGroup(m, [translation(m, 1), *multipliers],
+                     chain=translation_chain(m, levels))
 
 
 def groups_equal(g1: PermGroup, g2: PermGroup) -> bool:
@@ -655,14 +694,34 @@ def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
     stabilizer of U, under the canonical identification with Z_{u/l}.
 
     Requires the U-coset and L-coset partitions to be invariant and the
-    group to contain x -> x+1 (see the module docstring).
+    group to contain x -> x+1 (see the module docstring).  The generators
+    are the actions of the Schreier generators t_j g t_k^-1.
+
+    A group G whose chain was built by translation_chain gets a chain of
+    the same kind on Z_{u/l}, with Schreier-Sims run only on the
+    stabilizer of 0:
+    - G = T G_0, for the translations T and the stabilizer G_0 of 0, and
+      G_0 maps U, the block of 0, onto itself.
+    - The stabilizer of 0 (the coset L) in G^{U/L} is the image of G_0:
+      an element t_v g of the stabilizer of U, g in G_0, maps L onto L
+      exactly when v is in L, and t_v then acts trivially on U/L.  That
+      image is generated by sigma(h) = section_action(h, 0, sec)[1] over
+      the generators h of G_0, each fixing 0.
+    - t_{n/u} induces c -> c+1, so G^{U/L} holds the translations of
+      Z_{u/l}, and |G^{U/L}| = u/l * |<sigma(h)>|.
     """
     _check_section(group, sec)
     if sec.u == sec.n and sec.l == 1:
         return group
     induced = {section_action(g, j, sec)[1]
                for g in group.generators for j in range(sec.n // sec.u)}
-    return PermGroup(sec.order, induced)
+    if not _has_translation_chain(group):
+        return PermGroup(sec.order, induced)
+    stabilizer = StabChain(sec.order)
+    for h in group.chain.level_generators(1):
+        stabilizer.insert(section_action(h, 0, sec)[1])
+    return PermGroup(sec.order, induced,
+                     chain=translation_chain(sec.order, _levels(stabilizer)))
 
 
 def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
@@ -707,7 +766,15 @@ def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
 
 def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
     """Intersection by enumerating the smaller group and sifting through
-    the larger group's chain.  Hard error above the enumeration threshold."""
+    the larger group's chain.  Hard error when the smaller group's order
+    exceeds the enumeration threshold.
+
+    Two groups whose chains were built by translation_chain both hold the
+    translations T, and so does their intersection, which is therefore
+    T (H1_0 & H2_0) for the stabilizers H1_0, H2_0 of 0.  Only the smaller
+    stabilizer of 0 is enumerated, and the result carries a translation
+    chain again.
+    """
     if g1.degree != g2.degree:
         raise DomainError(f"degree mismatch: {g1.degree} != {g2.degree}")
     small, big = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
@@ -715,12 +782,19 @@ def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
         raise BudgetError(
             f"both groups exceed enumeration threshold {INTERSECT_ENUM_THRESHOLD} "
             f"(orders {g1.order()}, {g2.order()})")
-    result = StabChain(small.degree)
-    gens = []
-    for el in small.elements():
-        if big.contains(el) and result.insert(el):
+    m = small.degree
+    over_translations = _has_translation_chain(g1) and _has_translation_chain(g2)
+    if over_translations:
+        enumerated, gens = StabChain.from_levels(m, _levels(small.chain, 1)), [translation(m, 1)]
+    else:
+        enumerated, gens = small.chain, []
+    result = StabChain(m)
+    for el in enumerated.elements():
+        if big.chain.contains(el) and result.insert(el):
             gens.append(el)
-    return PermGroup(small.degree, gens, chain=result)
+    if over_translations:
+        result = translation_chain(m, _levels(result))
+    return PermGroup(m, gens, chain=result)
 
 
 def induced_action_table(group: PermGroup, sec: Section, wanted) -> dict[Perm, Perm]:

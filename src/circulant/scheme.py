@@ -494,7 +494,14 @@ def nonschurity_criterion(ring: SRing, sec: Section, *,
     U/L-condition: the ring is non-schurian whenever the intersection of
     the two induced automorphism groups on S = U/L is not 2-equivalent to
     the automorphism group of the section ring.  holds=False is
-    inconclusive."""
+    inconclusive.
+
+    Every group here holds the translations and carries a translation
+    chain: Aut(A_U) and Aut(A_{G/L}) from the search, their induced groups
+    on S from induced_on_section, which runs Schreier-Sims only on the
+    image of each stabilizer of 0, and their intersection T (H1_0 & H2_0),
+    from intersect, which enumerates only the smaller stabilizer of 0.
+    The 2-orbits of the intersection are read from its level 1."""
     n, u, l = sec.n, sec.u, sec.l
     if ring.n != n:
         raise DomainError("section does not match the ring modulus")

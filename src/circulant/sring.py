@@ -196,12 +196,14 @@ def _differences(cell: np.ndarray) -> np.ndarray:
 
 
 def _cell_blocks(ring: SRing):
-    """(lo, hi) runs of consecutive cells whose points times n fit in
-    _CHECK_ENTRIES; a cell too large for that is a run of its own."""
-    n, lo = ring.n, 0
-    while lo < ring.rank:
+    """(lo, hi) runs of consecutive cells, all but the last, whose points
+    times n fit in _CHECK_ENTRIES; a cell too large for that is a run of
+    its own.  The last cell passes the structure-constant check whenever
+    the others do (see _check_structure_constants)."""
+    n, lo, stop = ring.n, 0, ring.rank - 1
+    while lo < stop:
         hi, rows = lo + 1, len(ring.cells[lo])
-        while hi < ring.rank and (rows + len(ring.cells[hi])) * n <= _CHECK_ENTRIES:
+        while hi < stop and (rows + len(ring.cells[hi])) * n <= _CHECK_ENTRIES:
             rows += len(ring.cells[hi])
             hi += 1
         yield lo, hi
@@ -231,6 +233,14 @@ def _check_structure_constants(rings: list[SRing]) -> None:
     The point -l(-Z) lies in Z and in H, so z has the row of the points of
     Z in H.  The check over H mixes X and -X, so when it fails the same
     check runs again over every z, to find the least failing X.
+
+    Neither check builds the rows of the last cell W.  For any two points
+    z, z' of one cell at which the rows of every other cell agree, those
+    of W agree too: c_WY = c_YW for Y other than W, and
+    c_WW = |W| - sum of c_WY over those Y, since each w in W gives z - w
+    in exactly one cell.  So over H the rows of every cell agree, and
+    the argument above applies; and when a cell fails, one other than W
+    fails, so the least failing cell is never W.
 
     On failure the counts are recomputed for the least failing X, which
     is the first cell the pairwise check in order (X, Y) with X <= Y would
@@ -281,7 +291,8 @@ def _first_failing_cell(ring: SRing, window: np.ndarray, zs: np.ndarray) -> int 
     _CHECK_ENTRIES entries at a time, window[n - xs, z0:z1] transposed,
     and sorted along x, the contiguous axis.  Each row is compared with
     the row at the first point of its cell in zs.  A chunk builds that row
-    again when an earlier chunk had it, so no row outlives its chunk.
+    again when an earlier chunk had it, so no row outlives its chunk.  The
+    last cell is not checked (_cell_blocks).
     """
     n, rank, cell = ring.n, ring.rank, window[0]
     # zs[:run] is 0..run-1, whose rows are gathered by slicing

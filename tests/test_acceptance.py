@@ -154,6 +154,12 @@ def test_criterion_3_minimal_example():
             f"negative control={not neg_report.holds}")
     assert report.holds and lattice_ok
     assert not neg_report.holds
+    # the certificate's numbers, on the translation-chain routes of
+    # induced_on_section and intersect
+    assert report.intersection_order == 250 and neg_report.intersection_order == 500
+    for r in (report, neg_report):
+        assert r.induced_orders == (500, 62500)
+        assert r.section_aut_order == 2985984000000
 
 
 def test_criterion_4_dichotomy(sweep_digest):

@@ -40,7 +40,7 @@ from circulant.perm import (
     unit_generators,
 )
 from circulant.sring import cyclotomic, section_ring, subgroup_lattice
-from circulant.zn import divisors
+from circulant.zn import divisors, unit_group
 from circulant.structure import canonical_gwp
 
 
@@ -85,6 +85,17 @@ def test_holomorph_orders():
 
         gens = unit_generators(m)
         assert multiplicative_closure(m, gens) == set(unit_group(m))
+
+
+def test_holomorph_chain_is_built_by_construction():
+    # the translations, then the unit multipliers at base point 1
+    for m in range(2, 41):
+        h = holomorph(m)
+        assert _has_translation_chain(h)
+        assert h.order() == m * len(unit_group(m))
+        assert h.order() == PermGroup(m, h.generators).order()
+        assert h.generators == (translation(m, 1),) + tuple(
+            tuple(g * x % m for x in range(m)) for g in unit_generators(m))
 
 
 def test_prescribed_base_chain():
@@ -450,6 +461,42 @@ def test_induced_groups_of_equivalent_sections_match():
     assert sorted(np.bincount(ls.ravel())) == sorted(np.bincount(lt.ravel()))
 
 
+def test_induced_groups_and_intersections_match_generic_chains():
+    # over every catalog Aut group with n <= 24 and every A-section U/L
+    # with 1 < u/l < n: the translation chain of the induced group against
+    # the generic chain of its generators, and the intersection of the two
+    # induced groups of the non-schurity criterion against
+    # enumerate-and-sift on copies without the translation chain
+    pairs = 0
+    for n in range(2, 25):
+        for ring in enumerate_srings(n):
+            aut = aut_group(ring)
+            lattice = subgroup_lattice(ring)
+            for u, l in ((u, l) for u in lattice for l in lattice
+                         if u % l == 0 and 1 < u // l < n):
+                sec = Section(n, u, l)
+                induced = induced_on_section(aut, sec)
+                generic = PermGroup(sec.order, induced.generators)
+                assert induced.generators == oracle_induced(aut, sec).generators
+                assert _has_translation_chain(induced)
+                assert induced.order() == generic.order()
+                assert all(generic.contains(g) for g in induced.chain.strong_generators())
+                assert all(induced.contains(g) for g in generic.generators)
+                if not 1 < l <= u < n:
+                    continue
+                top = induced_on_section(aut_group(section_ring(ring, Section(n, u, 1))),
+                                         Section(u, u, l))
+                bottom = induced_on_section(aut_group(section_ring(ring, Section(n, n, l))),
+                                            Section(n // l, u // l, 1))
+                inter = intersect(top, bottom)
+                oracle = intersect(PermGroup(sec.order, top.generators),
+                                   PermGroup(sec.order, bottom.generators))
+                assert _has_translation_chain(inter) and not _has_translation_chain(oracle)
+                assert groups_equal(inter, oracle) and groups_equal(oracle, inter)
+                pairs += 1
+    assert pairs > 1000
+
+
 def test_kernel_on_blocks_examples():
     blocks = [[i for i in range(12) if i % 3 == r] for r in range(3)]
     k = kernel_on_blocks(translations(12), blocks)
@@ -479,6 +526,7 @@ def test_intersect_examples():
     assert groups_equal(intersect(s4, s4), s4)
     t6, h6 = translations(6), holomorph(6)
     assert groups_equal(intersect(t6, h6), t6)
+    assert _has_translation_chain(intersect(t6, h6))
     h5 = holomorph(5)
     w = (0, 2, 1, 3, 4)
     conj = PermGroup(5, [mult(mult(inverse(w), g), w) for g in h5.generators])

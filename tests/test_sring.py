@@ -257,6 +257,38 @@ def test_structure_check_beyond_a_slab_sees_every_chunk():
     assert validate_message(n, cells) == expected
 
 
+def test_structure_check_beyond_a_slab_skips_the_last_cell(monkeypatch):
+    # the last cell passes whenever every other cell does, so the rows of
+    # the 2,999-point cell of rank2(3000) are never built
+    from circulant import sring
+
+    rolled_cells, built = sring.rolled_cells, []
+
+    class Spy:
+        """The window, recording how many rows each gather of rows reads."""
+
+        def __init__(self, window):
+            self.window, self.dtype = window, window.dtype
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple):
+                built.append(np.size(key[0]))
+            return self.window[key]
+
+    monkeypatch.setattr(sring, "rolled_cells", lambda ring, dtype: Spy(rolled_cells(ring, dtype)))
+    assert validate(3000, [[0], list(range(1, 3000))]) == rank2(3000)
+    assert set(built) == {1}
+    # a failure is still worded by the least failing cell and its first Y
+    built.clear()
+    n = 1201
+    cells = [[0], [1, n - 1], list(range(2, n - 1))]
+    expected = pairwise_check(n, cells)
+    assert expected is not None and "X=cell1" in expected
+    assert validate_message(n, cells) == expected
+    # the rows of {0} and {1, -1}, one block, and none of the last cell
+    assert set(built) == {3}
+
+
 def test_validate_batch_slab_edges():
     from circulant import sring
 
