@@ -25,19 +25,21 @@ sorted key rows would order it (byte order decides, and a carry out of a
 key's low byte reverses some colors on a little-endian host), and when
 no cell splits the partition is equitable as it is.  Only the passes
 after a split sort key rows.  The search fixes a base on its first
-path and finishes each level before the one above it, so the
+path, then searches its levels deepest first in one loop, so the
 automorphisms found at levels >= L generate the pointwise stabilizer of
 the first L base points: they are a strong generating set, and each
 level's transversal is the Schreier tree of one orbit computation, which
 makes a representative when it is looked up.  A union-find over
 Z_n, whose roots are least points, merges each automorphism as it is
 found; since every deeper level is finished before a level's candidates
-are tried, its classes are the orbits that prune those candidates.  Off
+are tried, its classes are the orbits that prune those candidates.  The
+descent below a candidate keeps an explicit stack, not one call per
+level, so the call depth stays flat on a base of length about n.  Off
 the first path, each node first tests the map that aligns the first
-path's partition at its level with its own, cell by cell and position by
-position; refinement keeps cells ascending and splits them in place, so
-when that map is an automorphism it is the leaf the depth-first descent
-would reach first, and the descent is skipped.  Since the translations
+path's partition at its level with its own, cell by cell and position
+by position; refinement keeps cells ascending and splits them in place,
+so when that map is an automorphism it is the leaf the descent would
+reach first, and the node is not descended below.  Since the translations
 are always automorphisms and act regularly, the full group's stabilizer
 chain is that of the stabilizer of 0 below an implicit translation
 level, with no Schreier-Sims run; a ring of rank <= 2 gets the implicit
@@ -292,19 +294,18 @@ class _StabilizerSearch:
                 new_cells.append(np.array(buckets[key], dtype=np.int64))
         return new_cells
 
-    def _refine(self, cells, ci: int | None = None):
-        """One-dimensional refinement: `_row_pass` until no cell splits.
-
-        When cells[ci] is a point just individualized in an equitable
-        partition, the first pass is `_split_by_point`: one gather of the
-        point's column and one stable sort give the cells of a row pass
-        in their order (ascending color, but on a little-endian host the
-        colors whose key ends in the byte 0xFF go last, descending), and
-        a partition it leaves as it is is already equitable.  Without ci
-        every pass is a row pass.
+    def _refine(self, cells, ci: int):
+        """One-dimensional refinement of a partition in which cells[ci] is
+        a point just individualized in an equitable partition: the first
+        pass is `_split_by_point`, one gather of the point's column and one
+        stable sort, which gives the cells of a row pass in their order
+        (ascending color, but on a little-endian host the colors whose key
+        ends in the byte 0xFF go last, descending), and a partition it
+        leaves as it is is already equitable.  Then `_row_pass` until no
+        cell splits.
         """
         n = self.n
-        if ci is not None and len(cells) < n:
+        if len(cells) < n:
             split = self._split_by_point(cells, ci)
             if len(split) == len(cells):
                 return cells
@@ -332,8 +333,25 @@ class _StabilizerSearch:
 
     def run(self) -> list:
         """Search, then return the stabilizer chain levels of the stabilizer
-        of 0 as (base point, transversal, automorphisms found there)."""
-        self._descend_on_path(0, self.p_seq[0])
+        of 0 as (base point, transversal, automorphisms found there).
+
+        The levels are searched deepest first, so when a level starts,
+        every deeper level is finished and none above has started:
+        found[:level] is empty and the union-find holds the orbits of
+        found[level:].  Those fix base[:level], so they map the level's
+        target cell onto itself.  The cell is ascending, the base point is
+        its first point and the candidates are the rest in order, so v's
+        orbit meets a point tried or skipped before v iff its least point,
+        the root, is not v.
+        """
+        for level in reversed(range(len(self.base))):
+            cells = self.p_seq[level]
+            for v in cells[self.target_cells[level]][1:].tolist():
+                if self._root(v) == v:
+                    f = self._first_leaf(level, cells, v)
+                    if f is not None:
+                        self.found[level].append(f)
+                        self._merge(f)
         return [(b, self._transversal(level), self.found[level])
                 for level, b in enumerate(self.base)]
 
@@ -353,30 +371,6 @@ class _StabilizerSearch:
                 f"at level {level} of base length {len(self.base)}, "
                 f"automorphisms found: {found}")
 
-    def _descend_on_path(self, level: int, cells) -> None:
-        if level == len(self.base):
-            return
-        ci = self.target_cells[level]
-        self._descend_on_path(level + 1, self.p_seq[level + 1])
-
-        # Every deeper level is finished and none above has started, so
-        # found[:level] is empty and the union-find holds the orbits of
-        # found[level:].  Those fix base[:level], so they map this cell onto
-        # itself.  The cell is ascending, the base point is its first point
-        # and the candidates are the rest in order, so v's orbit meets a
-        # point tried or skipped before v iff its least point, the root, is
-        # not v.
-        for v in cells[ci][1:].tolist():
-            if self._root(v) != v:
-                continue
-            self._tick(level)
-            q2 = self._refine(self._individualize(cells, ci, v), ci)
-            if tuple(len(c) for c in q2) == self.p_shapes[level + 1]:
-                f = self._descend_off_path(level + 1, q2)
-                if f is not None:
-                    self.found[level].append(f)
-                    self._merge(f)
-
     def _aligned_map(self, level: int, cells) -> tuple | None:
         """The map taking the first path's partition at this level onto
         cells position by position, if it preserves every color."""
@@ -384,31 +378,37 @@ class _StabilizerSearch:
         f[self.p_flat[level]] = np.concatenate(cells)
         return tuple(f.tolist()) if _preserves_colors(self.rolled, f) else None
 
-    def _descend_off_path(self, level: int, cells):
+    def _first_leaf(self, level: int, cells, v: int):
         """The first automorphism, in depth-first candidate order, among
-        the leaves below this node, or None.
+        the leaves below the child at v of the node (level, cells), or
+        None, from a stack of (level, cells, candidates left).
 
-        The aligned map is tried first.  Refinement splits a cell only
-        within its own positions and keeps every cell ascending, so the
-        aligned map fixes base[:level] and is increasing on each cell.
-        When it is an automorphism, the first candidate at each deeper
-        level is its image of the base point, the refined partitions are
-        its images of the first path's, and the leaf reached is the map
-        itself: the descent would return it.  Only at the leaf is a
-        failed test final; above it the candidates are searched.
+        Refinement splits a cell only within its own positions and keeps
+        every cell ascending, so the aligned map at a child fixes the base
+        points above it and is increasing on each cell.  When it is an
+        automorphism, the first candidate at each deeper level is its image
+        of the base point, the refined partitions are its images of the
+        first path's, and the leaf reached is the map itself: the descent
+        would return it.  Only at the leaf is a failed test final; above it
+        the candidates are searched.
         """
-        f = self._aligned_map(level, cells)
-        if f is not None or level == len(self.base):
-            return f
-        ci = self.target_cells[level]
-        for v in cells[ci].tolist():
-            self._tick(level)
-            q2 = self._refine(self._individualize(cells, ci, v), ci)
-            if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:
+        stack = [(level, cells, iter((v,)))]
+        while stack:
+            level, cells, candidates = stack[-1]
+            v = next(candidates, None)
+            if v is None:
+                stack.pop()
                 continue
-            f = self._descend_off_path(level + 1, q2)
+            ci = self.target_cells[level]
+            self._tick(level)
+            child = self._refine(self._individualize(cells, ci, v), ci)
+            if tuple(len(c) for c in child) != self.p_shapes[level + 1]:
+                continue
+            f = self._aligned_map(level + 1, child)
             if f is not None:
                 return f
+            if level + 1 < len(self.base):
+                stack.append((level + 1, child, iter(child[self.target_cells[level + 1]].tolist())))
         return None
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from circulant import (
     translations,
     two_equivalent,
     induced_on_section,
+    wreath,
 )
 from circulant import scheme
 from circulant.perm import (
@@ -62,29 +64,27 @@ SEARCH_NODES_N30 = 5466
 class _FullDescentSearch(_StabilizerSearch):
     """Oracle: the search as it was before the aligned-map test, which
     descends through the candidates of every off-path node down to a leaf
-    and tests only the leaf, against the full color table."""
+    and tests only the leaf, against the full color table, refining by
+    row passes only."""
 
     def __init__(self, ring, node_budget):
         super().__init__(ring, node_budget)
         self.D = color_matrix(ring)
 
-    def _descend_off_path(self, level, cells):
-        if level == len(self.base):
-            f = np.empty(self.n, dtype=np.int64)
-            f[np.concatenate(self.p_seq[-1])] = np.concatenate(cells)
-            if np.array_equal(self.D[f][:, f], self.D):
-                return tuple(int(x) for x in f)
+    def _aligned_map(self, level, cells):
+        if level < len(self.base):
             return None
-        ci = self.target_cells[level]
-        for v in sorted(cells[ci].tolist()):
-            self._tick(level)
-            q2 = self._refine(self._individualize(cells, ci, v))
-            if tuple(len(c) for c in q2) != self.p_shapes[level + 1]:
-                continue
-            f = self._descend_off_path(level + 1, q2)
-            if f is not None:
-                return f
-        return None
+        f = np.empty(self.n, dtype=np.int64)
+        f[np.concatenate(self.p_seq[-1])] = np.concatenate(cells)
+        return tuple(f.tolist()) if np.array_equal(self.D[f][:, f], self.D) else None
+
+    def _refine(self, cells, ci):
+        while len(cells) < self.n:
+            new_cells = self._row_pass(cells)
+            if len(new_cells) == len(cells):
+                break
+            cells = new_cells
+        return cells
 
 
 class _Int64RefineSearch(_StabilizerSearch):
@@ -383,16 +383,18 @@ def test_search_generators_are_a_strong_generating_set():
 
 
 def test_search_falls_back_to_candidates_when_the_aligned_map_fails():
-    """At one off-path node of this Z_10 ring the aligned map is not an
-    automorphism, and the candidate loop below it finds the one the
-    full descent finds."""
+    """Below one on-path candidate of this Z_10 ring the aligned map is
+    not an automorphism, and the candidates below it give the one the full
+    descent finds."""
 
     class Recording(_StabilizerSearch):
         fallbacks = 0
 
-        def _descend_off_path(self, level, cells):
-            f = super()._descend_off_path(level, cells)
-            if f is not None and self._aligned_map(level, cells) is None:
+        def _first_leaf(self, level, cells, v):
+            f = super()._first_leaf(level, cells, v)
+            ci = self.target_cells[level]
+            child = self._refine(self._individualize(cells, ci, v), ci)
+            if f is not None and self._aligned_map(level + 1, child) is None:
                 self.fallbacks += 1
             return f
 
@@ -414,6 +416,60 @@ def catalog_rings(max_n):
     return [ring for n in range(1, max_n + 1) for ring in enumerate_srings(n)]
 
 
+def test_search_of_a_base_about_n_long_does_not_recurse_per_level():
+    """Z_2 wr Z_200 (n = 400) has a base of 199 points and Aut = Z_2 wr Z_200
+    of order 2^200 * 200.  The search finds it with the recursion limit 60
+    frames above the caller's depth."""
+    ring = wreath(group_ring(2), group_ring(200), 400)
+    _aut_group_cached.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        group = aut_group(ring)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(group.chain.base) == 1 + 199
+    assert group.order() == 2 ** 200 * 200
+
+
+# the seed and the number of factor pairs of the wreath-product oracle
+WREATH_SEED, WREATH_PAIRS = 22, 32
+
+
+def wreath_pairs(seed, count, max_n=400):
+    """count seeded factor pairs (A, B), each with A wr B, where A.n * B.n
+    <= max_n.  The factors come from the catalogs with n <= 24, except
+    that in every fourth pair one factor is a wreath drawn before it (the
+    left factor, or every eighth pair the right one)."""
+    rng = np.random.default_rng(seed)
+    pool = [ring for ring in catalog_rings(24) if ring.n > 1]
+    made = []
+    for i in range(count):
+        nested = made if i % 4 == 3 and made else pool
+        x = nested[rng.integers(len(nested))]
+        fits = [ring for ring in pool if ring.n * x.n <= max_n]
+        y = fits[rng.integers(len(fits))]
+        a, b = (y, x) if i % 8 == 7 else (x, y)
+        ring = wreath(a, b, a.n * b.n)
+        if ring.n <= max_n // 2:
+            made.append(ring)
+        yield a, b, ring, nested is made
+
+
+def test_wreath_products_match_their_factors():
+    """Aut(A wr B) = Aut A wr Aut B: every automorphism permutes the cosets
+    of the subgroup A lives on, acts on them as an automorphism of B, and
+    between two cosets as one of A.  So |Aut(A wr B)| = |Aut A|^b |Aut B|,
+    and A wr B is schurian exactly when A and B are."""
+    nested = 0
+    for a, b, ring, is_nested in wreath_pairs(WREATH_SEED, WREATH_PAIRS):
+        assert aut_group(ring).order() == aut_group(a).order() ** b.n * aut_group(b).order(), \
+            (a.cells, b.cells)
+        assert is_schurian(ring) == (is_schurian(a) and is_schurian(b)), (a.cells, b.cells)
+        nested += is_nested
+    assert nested == WREATH_PAIRS // 4
+
+
 def plus_minus_one_ring(n):
     """Cyc({+-1}, Z_n) for even n, built with the raw constructor."""
     cells = [(0,)] + [(x, n - x) for x in range(1, n // 2)] + [(n // 2,)]
@@ -422,11 +478,14 @@ def plus_minus_one_ring(n):
 
 def test_refinement_leaves_the_basic_sets_as_they_are():
     """The basic sets are an equitable partition, so the search takes them
-    as its root partition without refining them."""
+    as its root partition without refining them: one row pass splits none
+    of them."""
     for ring in catalog_rings(30):
+        if ring.rank == ring.n:
+            continue
         search = _StabilizerSearch(ring, DEFAULT_NODE_BUDGET)
         root = [np.array(cell, dtype=np.int64) for cell in ring.cells]
-        assert [c.tolist() for c in search._refine(root)] == [list(c) for c in ring.cells]
+        assert [c.tolist() for c in search._row_pass(root)] == [list(c) for c in ring.cells]
 
 
 def assert_search_matches_int64_oracle(cls, rings):
@@ -485,7 +544,7 @@ class _SplitCheckingSearch(_StabilizerSearch):
         self.reorders = 0
         super().__init__(ring, node_budget)
 
-    def _refine(self, cells, ci=None):
+    def _refine(self, cells, ci):
         if len(cells) < self.n:
             split = self._split_by_point(cells, ci)
             assert [c.tolist() for c in split] == [c.tolist() for c in self._row_pass(cells)]
