@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .scheme import DEFAULT_NODE_BUDGET, is_normal, is_schurian
+from .scheme import DEFAULT_NODE_BUDGET, DEFAULT_SCHURITY_MAX_N, is_normal, is_schurian
 from .sring import (
     SRing,
     canonical_partition,
@@ -335,7 +335,7 @@ def _nonschurian_structure_checks(ring: SRing) -> list[str]:
     return notes
 
 
-def schurity_sweep(n_values, *, schurity_max_n: int = 1000,
+def schurity_sweep(n_values, *, schurity_max_n: int = DEFAULT_SCHURITY_MAX_N,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> list[SweepReport]:
     """Per modulus: entry count, schurian count, and for each non-schurian
     entry its proper gwp sections plus the structural facts for four-prime

@@ -14,15 +14,18 @@ cell(0) = {0}).
 
 The automorphism group is found by computing the stabilizer of 0 with an
 individualization-refinement backtracking search over vertex colorings
-(the edge-color table is fixed; refinement is one-dimensional).  The
-root partition is the basic sets, unrefined: for v in a basic set Z, the
+(the edge-color table is fixed; refinement is one-dimensional).  A
+partition is one pair (points, cuts): the n points in one int64 array,
+cell by cell and each cell ascending, and the C + 1 cut positions as a
+tuple of ints, so cell i is points[cuts[i]:cuts[i + 1]].  The root
+partition is the basic sets, unrefined: for v in a basic set Z, the
 number of u in Y with u - v in X is the coefficient of v in Y X^-1, the
 same for every v in Z, so the basic sets are equitable and refinement
 would return them as they are.  Every partition the search individualizes
 a point v in is equitable, so its first refinement pass reads one column
 of the color table: each cell splits by the color to v, ordered as the
-sorted key rows would order it (byte order decides, and a carry out of a
-key's low byte reverses some colors on a little-endian host), and when
+sorted key rows would order it (keys are little-endian on every host,
+and a carry out of a key's low byte reverses some colors), and when
 no cell splits the partition is equitable as it is.  Only the passes
 after a split sort key rows.  The search fixes a base on its first
 path, then searches its levels deepest first in one loop, so the
@@ -36,8 +39,8 @@ are tried, its classes are the orbits that prune those candidates.  The
 descent below a candidate keeps an explicit stack, not one call per
 level, so the call depth stays flat on a base of length about n.  Off
 the first path, each node first tests the map that aligns the first
-path's partition at its level with its own, cell by cell and position
-by position; refinement keeps cells ascending and splits them in place,
+path's partition at its level with its own, position by position in
+their points; refinement keeps cells ascending and splits them in place,
 so when that map is an automorphism it is the leaf the descent would
 reach first, and the node is not descended below.  Since the translations
 are always automorphisms and act regularly, the full group's stabilizer
@@ -48,9 +51,9 @@ chain of Sym(n).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from .perm import (
     translation_chain,
     two_equivalent,
 )
-from .sring import SRing, rolled_cells, s_condition_holds, section_ring, subgroup_lattice
+from .sring import SRing, _points, rolled_cells, s_condition_holds, section_ring, subgroup_lattice
 from .zn import Section
 
 DEFAULT_AUT_MAX_N = 5000
@@ -130,7 +133,13 @@ def _preserves_colors(rolled: np.ndarray, f) -> bool:
 
 class _StabilizerSearch:
     """Backtracking search for the full group of color-preserving
-    permutations fixing 0 (equivalently, preserving every basic set)."""
+    permutations fixing 0 (equivalently, preserving every basic set).
+
+    A partition is one pair (points, cuts): points is an int64 array of
+    the n points cell by cell, each cell ascending, and cuts is a tuple of
+    the C + 1 cut positions as Python ints, so cell i is
+    points[cuts[i]:cuts[i + 1]].  Two partitions have the same shape
+    exactly when their cuts are equal."""
 
     def __init__(self, ring: SRing, node_budget: int):
         self.n = ring.n
@@ -142,23 +151,20 @@ class _StabilizerSearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.ncolors = ring.rank
-        # the basic sets are equitable, so refinement would return them as
-        # they are
-        self.p_seq = [[np.array(cell, dtype=np.int64) for cell in ring.cells]]
+        # p_seq[L]: the first path's partition at level L; the basic sets
+        # are equitable, so refinement would return them as they are
+        self.p_seq = [(_points(ring), (0, *accumulate(len(cell) for cell in ring.cells)))]
         self.base: list[int] = []
         self.target_cells: list[int] = []
         while True:
-            cells = self.p_seq[-1]
-            ci = self._target_cell(cells)
+            part = self.p_seq[-1]
+            ci = self._target_cell(part)
             if ci is None:
                 break
-            b = int(cells[ci][0])
+            b = part[0].item(part[1][ci])
             self.base.append(b)
             self.target_cells.append(ci)
-            self.p_seq.append(self._refine(self._individualize(cells, ci, b), ci))
-        self.p_shapes = [tuple(len(c) for c in p) for p in self.p_seq]
-        # p_flat[L]: the first path's partition at level L, cells concatenated
-        self.p_flat = [np.concatenate(p) for p in self.p_seq]
+            self.p_seq.append(self._refine(self._individualize(part, ci, b), ci))
         # found[L]: automorphisms found at level L (fixing base[:L])
         self.found: list[list[tuple]] = [[] for _ in self.base]
         # union-find over Z_n of the orbits of everything found; roots are
@@ -166,30 +172,30 @@ class _StabilizerSearch:
         self.parent = list(range(self.n))
 
     @staticmethod
-    def _target_cell(cells) -> int | None:
+    def _target_cell(part) -> int | None:
         """Smallest non-singleton cell, ties by least vertex (cells are
         ascending, so a cell's least vertex is its first)."""
-        best = None
-        for i, c in enumerate(cells):
-            if len(c) == 1:
-                continue
-            key = (len(c), int(c[0]))
-            if best is None or key < best[0]:
-                best = (key, i)
-        return None if best is None else best[1]
+        points, cuts = part
+        best = min(((b - a, points.item(a), i) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
+                    if b - a > 1), default=None)
+        return None if best is None else best[2]
 
     @staticmethod
-    def _individualize(cells, ci: int, v: int):
-        out = list(cells)
-        cell = cells[ci]
-        rest = cell[cell != v]
-        out[ci: ci + 1] = [np.array([v], dtype=np.int64), rest]
-        return out
+    def _individualize(part, ci: int, v: int):
+        """The partition with cell ci split into v and then the rest of
+        the cell, both at the cell's positions."""
+        points, cuts = part
+        a, b = cuts[ci], cuts[ci + 1]
+        out = points.copy()
+        out[a + 1:b] = points[a:b][points[a:b] != v]
+        out[a] = v
+        return out, cuts[:ci + 1] + (a + 1,) + cuts[ci + 1:]
 
     def _key_dtype(self, C: int) -> np.dtype:
-        """The narrowest unsigned dtype of at least 16 bits holding every
-        key color * C + cell, up to ncolors * C - 1."""
-        return np.promote_types(np.uint16, np.min_scalar_type(self.ncolors * C - 1))
+        """The narrowest little-endian unsigned dtype of at least 16 bits
+        holding every key color * C + cell, up to ncolors * C - 1."""
+        dt = np.promote_types(np.uint16, np.min_scalar_type(self.ncolors * C - 1))
+        return dt.newbyteorder("<")
 
     def _key_window(self, C: int) -> np.ndarray:
         """A view whose row n - v is the colors of row v of the color
@@ -216,46 +222,42 @@ class _StabilizerSearch:
             width = len(raw) // len(keys)
             yield from (raw[i:i + width] for i in range(0, len(raw), width))
 
-    def _split_by_point(self, cells, ci: int):
+    def _split_by_point(self, part, ci: int):
         """The first refinement pass of the partition made by
-        individualizing v = cells[ci][0] in an equitable partition, split
-        by one column of the color table: the cells as they are when none
-        splits.
+        individualizing v, the only point of cell ci, in an equitable
+        partition, split by one column of the color table: the partition
+        as it is when no cell splits.
 
-        The rest of v's old cell is cells[ci + 1].  That cell was a cell
-        of an equitable partition, so every x in a cell X has the same
-        key row with v counted in cell ci + 1; the row of x is that row
-        with one key k + 1 replaced by k = a * C + ci, a = color(x, v).
-        So two rows of X are equal exactly when their a is, and for a < b
-        the row of a sorts first exactly when the bytes of k sort before
-        those of k + 1.  Big-endian, they always do.  Little-endian they
-        do unless the low byte of k is 0xFF, whose carry makes k + 1's
-        first byte 0x00, at any key width.  So a cell's new cells are
-        its colors without that carry ascending, then those with it
-        descending.
+        The rest of v's old cell is cell ci + 1.  That cell was a cell of
+        an equitable partition, so every x in a cell X has the same key
+        row with v counted in cell ci + 1; the row of x is that row with
+        one key k + 1 replaced by k = a * C + ci, a = color(x, v).  So two
+        rows of X are equal exactly when their a is, and for a < b the row
+        of a sorts first exactly when the bytes of k sort before those of
+        k + 1.  Keys are little-endian on every host, so they do unless
+        the low byte of k is 0xFF, whose carry makes k + 1's first byte
+        0x00, at any key width.  So a cell's new cells are its colors
+        without that carry ascending, then those with it descending.
         """
-        C, R = len(cells), self.ncolors
+        points, cuts = part
+        C, R = len(cuts) - 1, self.ncolors
         # the place of each color among the new cells of a cell
-        ranks = range(R)
-        if sys.byteorder == "little":
-            ranks = [2 * R - 1 - a if (a * C + ci) & 0xFF == 0xFF else a for a in ranks]
-        flat = np.concatenate(cells)
+        ranks = [2 * R - 1 - a if (a * C + ci) & 0xFF == 0xFF else a for a in range(R)]
         # color(x, v) = cell_of[v - x] = rolled[v + 1][n - 1 - x]
-        colors = self.rolled[int(cells[ci][0]) + 1][::-1][flat]
-        key = np.arange(0, 2 * R * C, 2 * R).repeat([len(c) for c in cells])
+        colors = self.rolled[points.item(cuts[ci]) + 1][::-1][points]
+        key = np.arange(0, 2 * R * C, 2 * R).repeat([b - a for a, b in zip(cuts, cuts[1:])])
         key += np.array(ranks)[colors]
         order = key.argsort(kind="stable")
         key = key[order]
         starts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
         if len(starts) + 1 == C:
-            return cells
-        points = flat[order]
-        return [points[i:j] for i, j in zip([0] + starts, starts + [self.n])]
+            return part
+        return points[order], (0, *starts, self.n)
 
-    def _row_pass(self, cells):
+    def _row_pass(self, part):
         """One refinement pass against the edge-color table, stable under
-        color-automorphisms cell-index-wise: the cells as they are when
-        none splits.
+        color-automorphisms cell-index-wise: the partition as it is when
+        no cell splits.
 
         The signature of a vertex v is the multiset of (edge color to u,
         cell of u) over all u, realized as the sorted row of combined
@@ -270,52 +272,52 @@ class _StabilizerSearch:
         with no color table, and bucketed cell by cell; a cell larger
         than a block fills its buckets over several blocks.
         """
-        n = self.n
-        C = len(cells)
-        window = self._key_window(C)
-        cell_id = np.empty(n, dtype=window.dtype)
-        for i, c in enumerate(cells):
-            cell_id[c] = i
-        active = np.concatenate([c for c in cells if len(c) > 1])
+        points, cuts = part
+        bounds = list(zip(cuts, cuts[1:]))
+        window = self._key_window(len(bounds))
+        sizes = [b - a for a, b in bounds]
+        cell_id = np.empty(self.n, dtype=window.dtype)
+        cell_id[points] = np.arange(len(bounds), dtype=window.dtype).repeat(sizes)
+        active = points[np.repeat(np.array(sizes) > 1, sizes)]
         keys = self._sorted_keys(active, cell_id, window)
-        new_cells = []
-        for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
-                continue
+        out, new_cuts = points.copy(), [0]
+        for a, b in bounds:
             buckets: dict[bytes, list[int]] = {}
-            # zip takes exactly len(c) rows from keys
-            for v, key in zip(c.tolist(), keys):
-                buckets.setdefault(key, []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(c)
-                continue
-            for key in sorted(buckets):
-                new_cells.append(np.array(buckets[key], dtype=np.int64))
-        return new_cells
+            if b - a > 1:
+                # zip takes exactly b - a rows from keys
+                for v, key in zip(points[a:b].tolist(), keys):
+                    buckets.setdefault(key, []).append(v)
+            if len(buckets) > 1:
+                cell = []
+                for key in sorted(buckets):
+                    cell += buckets[key]
+                    new_cuts.append(a + len(cell))
+                out[a:b] = cell
+            else:
+                new_cuts.append(b)
+        return out, tuple(new_cuts)
 
-    def _refine(self, cells, ci: int):
-        """One-dimensional refinement of a partition in which cells[ci] is
+    def _refine(self, part, ci: int):
+        """One-dimensional refinement of a partition in which cell ci is
         a point just individualized in an equitable partition: the first
         pass is `_split_by_point`, one gather of the point's column and one
         stable sort, which gives the cells of a row pass in their order
-        (ascending color, but on a little-endian host the colors whose key
-        ends in the byte 0xFF go last, descending), and a partition it
-        leaves as it is is already equitable.  Then `_row_pass` until no
-        cell splits.
+        (ascending color, except that the colors whose key ends in the
+        byte 0xFF go last, descending), and a partition it leaves as it is
+        is already equitable.  Then `_row_pass` until no cell splits.
         """
         n = self.n
-        if len(cells) < n:
-            split = self._split_by_point(cells, ci)
-            if len(split) == len(cells):
-                return cells
-            cells = split
-        while len(cells) < n:
-            new_cells = self._row_pass(cells)
-            if len(new_cells) == len(cells):
+        if len(part[1]) - 1 < n:
+            split = self._split_by_point(part, ci)
+            if split is part:
+                return part
+            part = split
+        while len(part[1]) - 1 < n:
+            new_part = self._row_pass(part)
+            if len(new_part[1]) == len(part[1]):
                 break
-            cells = new_cells
-        return cells
+            part = new_part
+        return part
 
     def _root(self, x: int) -> int:
         parent = self.parent
@@ -345,10 +347,11 @@ class _StabilizerSearch:
         the root, is not v.
         """
         for level in reversed(range(len(self.base))):
-            cells = self.p_seq[level]
-            for v in cells[self.target_cells[level]][1:].tolist():
+            points, cuts = part = self.p_seq[level]
+            ci = self.target_cells[level]
+            for v in points[cuts[ci] + 1:cuts[ci + 1]].tolist():
                 if self._root(v) == v:
-                    f = self._first_leaf(level, cells, v)
+                    f = self._first_leaf(level, part, v)
                     if f is not None:
                         self.found[level].append(f)
                         self._merge(f)
@@ -371,17 +374,17 @@ class _StabilizerSearch:
                 f"at level {level} of base length {len(self.base)}, "
                 f"automorphisms found: {found}")
 
-    def _aligned_map(self, level: int, cells) -> tuple | None:
+    def _aligned_map(self, level: int, part) -> tuple | None:
         """The map taking the first path's partition at this level onto
-        cells position by position, if it preserves every color."""
+        part position by position, if it preserves every color."""
         f = np.empty(self.n, dtype=np.int64)
-        f[self.p_flat[level]] = np.concatenate(cells)
+        f[self.p_seq[level][0]] = part[0]
         return tuple(f.tolist()) if _preserves_colors(self.rolled, f) else None
 
-    def _first_leaf(self, level: int, cells, v: int):
+    def _first_leaf(self, level: int, part, v: int):
         """The first automorphism, in depth-first candidate order, among
-        the leaves below the child at v of the node (level, cells), or
-        None, from a stack of (level, cells, candidates left).
+        the leaves below the child at v of the node (level, part), or
+        None, from a stack of (level, partition, candidates left).
 
         Refinement splits a cell only within its own positions and keeps
         every cell ascending, so the aligned map at a child fixes the base
@@ -392,23 +395,25 @@ class _StabilizerSearch:
         would return it.  Only at the leaf is a failed test final; above it
         the candidates are searched.
         """
-        stack = [(level, cells, iter((v,)))]
+        stack = [(level, part, iter((v,)))]
         while stack:
-            level, cells, candidates = stack[-1]
+            level, part, candidates = stack[-1]
             v = next(candidates, None)
             if v is None:
                 stack.pop()
                 continue
             ci = self.target_cells[level]
             self._tick(level)
-            child = self._refine(self._individualize(cells, ci, v), ci)
-            if tuple(len(c) for c in child) != self.p_shapes[level + 1]:
+            child = self._refine(self._individualize(part, ci, v), ci)
+            if child[1] != self.p_seq[level + 1][1]:
                 continue
             f = self._aligned_map(level + 1, child)
             if f is not None:
                 return f
             if level + 1 < len(self.base):
-                stack.append((level + 1, child, iter(child[self.target_cells[level + 1]].tolist())))
+                points, cuts = child
+                ci = self.target_cells[level + 1]
+                stack.append((level + 1, child, iter(points[cuts[ci]:cuts[ci + 1]].tolist())))
         return None
 
 

@@ -96,7 +96,7 @@ class SRing:
         if modulus is None:
             raise DomainError("ring JSON carries no modulus and none was supplied")
         if n is not None and "n" in data and data["n"] != n:
-            raise DomainError(f"modulus mismatch: JSON says {data['n']}, flag says {n}")
+            raise DomainError(f"modulus mismatch: JSON says {data['n']!r}, flag says {n}")
         return validate(modulus, cells)
 
     def __repr__(self) -> str:

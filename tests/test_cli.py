@@ -125,6 +125,9 @@ def test_modulus_mismatch(capsys):
 Z3 = '{"n":3,"basic_sets":[[0],[1,2]]}'
 Z8_RING = '{"basic_sets":[[0],[1,3],[2,6],[4],[5,7]]}'
 Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
+# what the error of a malformed-input case must say, by case id: a string
+# modulus is shown as its repr, so that it is told apart from the flag's
+ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,15 +144,17 @@ Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
     ["validate", "--n", "4", "--ring", '{"basic_sets":[]}'],
     ["example12", "--equal", "--d", "5"],
     ["example12", "--equal", "--p4", "2"],
+    ["validate", "--n", "4", "--ring", '{"n":"4","basic_sets":[[0],[1,3],[2]]}'],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
-        "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2"])
-def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, argv):
+        "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2", "string-n"])
+def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, request, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert set(json.loads(err)) == {"error"}
+    assert ERROR_FRAGMENTS.get(request.node.callspec.id, "") in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("argv", [
