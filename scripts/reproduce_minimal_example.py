@@ -10,7 +10,7 @@ import argparse
 import json
 
 from circulant import nonschurity_criterion, subgroup_lattice
-from circulant.catalog import Example12Params, _elements_of_order, example12
+from circulant.catalog import Example12Params, example12
 
 
 def run(params: Example12Params) -> dict:
@@ -42,10 +42,8 @@ def main() -> None:
     params = Example12Params(p=args.p, p3=args.p3, p4=args.p4, d=args.d)
     print(json.dumps({"family": run(params)}, indent=2, sort_keys=True))
 
-    equal = _elements_of_order(args.p4, args.d)[0]
-    control = Example12Params(p=args.p, p3=args.p3, p4=args.p4, d=args.d,
-                              phi_choice=(equal, equal))
-    print(json.dumps({"negative_control": run(control)}, indent=2, sort_keys=True))
+    print(json.dumps({"negative_control": run(params.negative_control())},
+                     indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

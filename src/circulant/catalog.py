@@ -24,14 +24,14 @@ brute-force oracle for n <= 13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .scheme import DEFAULT_NODE_BUDGET, DEFAULT_SCHURITY_MAX_N, is_normal, is_schurian
+from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, is_normal, is_schurian
 from .sring import (
     SRing,
     canonical_partition,
@@ -335,18 +335,19 @@ def _nonschurian_structure_checks(ring: SRing) -> list[str]:
     return notes
 
 
-def schurity_sweep(n_values, *, schurity_max_n: int = DEFAULT_SCHURITY_MAX_N,
+def schurity_sweep(n_values, *, max_n: int = DEFAULT_AUT_MAX_N,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> list[SweepReport]:
     """Per modulus: entry count, schurian count, and for each non-schurian
     entry its proper gwp sections plus the structural facts for four-prime
-    moduli."""
+    moduli.  max_n and node_budget bound each automorphism search, as in
+    aut_group."""
     reports = []
     for n in n_values:
         catalog = enumerate_srings(n)
         bad = []
         schurian_count = 0
         for ring in catalog:
-            ok = is_schurian(ring, max_n=schurity_max_n, node_budget=node_budget)
+            ok = is_schurian(ring, max_n=max_n, node_budget=node_budget)
             if ok:
                 schurian_count += 1
             else:
@@ -379,6 +380,8 @@ class Example12Params:
     phi_choice: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if self.d < 1:
+            raise DomainError(f"d={self.d} must be a positive integer")
         for q in (self.p, self.p3, self.p4):
             if not is_prime(q):
                 raise DomainError(f"{q} is not prime")
@@ -392,6 +395,12 @@ class Example12Params:
     @property
     def n(self) -> int:
         return self.p * self.p * self.p3 * self.p4
+
+    def negative_control(self) -> Example12Params:
+        """The same parameters with both isomorphisms sending the generator
+        to the least unit of order d mod p4."""
+        image = _elements_of_order(self.p4, self.d)[0]
+        return replace(self, phi_choice=(image, image))
 
 
 def _elements_of_order(modulus: int, order: int) -> list[int]:

@@ -12,13 +12,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from .errors import BudgetError, DomainError
 from .catalog import (
     ENUMERATE_MAX_N,
     Example12Params,
-    _elements_of_order,
     enumerate_srings,
     example12,
     schurity_sweep,
@@ -26,7 +24,6 @@ from .catalog import (
 from .scheme import (
     DEFAULT_AUT_MAX_N,
     DEFAULT_NODE_BUDGET,
-    DEFAULT_SCHURITY_MAX_N,
     aut_group,
     is_normal,
     is_schurian,
@@ -159,14 +156,11 @@ def cmd_aut(args) -> dict:
 
 def cmd_schurity(args) -> dict:
     ring = _load_ring(args)
-    schurian = is_schurian(ring, max_n=args.max_n, node_budget=args.max_nodes)
-    group = aut_group(ring, max_n=max(args.max_n, DEFAULT_AUT_MAX_N),
-                      node_budget=args.max_nodes)
-    orbits = stabilizer0_orbits(ring, max_n=max(args.max_n, DEFAULT_AUT_MAX_N),
-                                node_budget=args.max_nodes)
+    group = aut_group(ring, max_n=args.max_n, node_budget=args.max_nodes)
+    orbits = stabilizer0_orbits(ring, max_n=args.max_n, node_budget=args.max_nodes)
     return {
         "n": ring.n,
-        "schurian": schurian,
+        "schurian": is_schurian(ring, max_n=args.max_n, node_budget=args.max_nodes),
         "aut_order": str(group.order()),
         "stabilizer_orbits": [list(o) for o in orbits],
     }
@@ -204,9 +198,8 @@ def cmd_enumerate(args) -> dict | None:
 
 
 def _sweep_one(payload):
-    n, schurity_max_n, node_budget = payload
-    report = schurity_sweep([n], schurity_max_n=schurity_max_n,
-                            node_budget=node_budget)[0]
+    n, max_n, node_budget = payload
+    report = schurity_sweep([n], max_n=max_n, node_budget=node_budget)[0]
     return {
         "n": report.n,
         "total": report.total,
@@ -234,7 +227,7 @@ def cmd_sweep(args) -> dict:
 
 def cmd_resolve(args) -> dict:
     ring = _load_ring(args)
-    result = resolve(ring, aut_max_n=args.max_n, node_budget=args.max_nodes)
+    result = resolve(ring, max_n=args.max_n, node_budget=args.max_nodes)
     return {
         "n": ring.n,
         "order": str(result.group.order()),
@@ -248,8 +241,7 @@ def cmd_example12(args) -> dict:
     params = Example12Params(p=args.p, p3=args.p3, p4=args.p4, d=args.d,
                              phi_choice=phi)
     if args.equal and phi is None:
-        image = _elements_of_order(args.p4, args.d)[0]
-        params = replace(params, phi_choice=(image, image))
+        params = params.negative_control()
     result = example12(params)
     sec = result.certificate_section
     report = nonschurity_criterion(result.ring, sec,
@@ -322,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     ring_io(p)
     budgets(p)
     p.set_defaults(func=cmd_schurity)
-    p.set_defaults(max_n=DEFAULT_SCHURITY_MAX_N)
 
     p = sub.add_parser("nonschurity", help="one-sided section criterion")
     ring_io(p)
@@ -340,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="schurity sweep over several moduli")
     p.add_argument("--ns", required=True, help="comma-separated moduli")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=DEFAULT_SCHURITY_MAX_N)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out")
+    budgets(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("resolve", help="2-equivalent subgroup via singularity resolution")

@@ -72,7 +72,6 @@ from .sring import SRing, _points, rolled_cells, s_condition_holds, section_ring
 from .zn import Section
 
 DEFAULT_AUT_MAX_N = 5000
-DEFAULT_SCHURITY_MAX_N = 1000
 DEFAULT_NODE_BUDGET = 500_000
 # entries in one block of rows of the search's key and color temporaries,
 # so that none grows with the square of n
@@ -462,16 +461,12 @@ def stabilizer0_orbits(ring: SRing, **kwargs) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, difference_classes(aut_group(ring, **kwargs))))
 
 
-def is_schurian(ring: SRing, *, max_n: int = DEFAULT_SCHURITY_MAX_N,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_schurian(ring: SRing, **kwargs) -> bool:
     """Whether the orbits of the stabilizer of 0 in Aut(ring) are exactly
-    the basic sets.  Large n errors by default; raise max_n to override
-    (the section criterion is the designated route for large n)."""
-    if ring.n > max_n:
-        raise BudgetError(
-            f"schurity test bound exceeded: n={ring.n} > {max_n}; "
-            "raise the bound or use the non-schurity section criterion")
-    return stabilizer0_orbits(ring, max_n=max_n, node_budget=node_budget) == ring.cells
+    the basic sets.  The bounds (max_n, node_budget) and the BudgetError
+    are aut_group's: the Z_3575 family ring (non-schurian) and its negative
+    control (schurian) are decided within the defaults."""
+    return stabilizer0_orbits(ring, **kwargs) == ring.cells
 
 
 def is_normal(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,

@@ -282,7 +282,7 @@ class ResolveResult:
     verified: bool | None  # None = comparison out of budget ("post unverified")
 
 
-def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
+def resolve(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
             node_budget: int = DEFAULT_NODE_BUDGET) -> ResolveResult:
     """A subgroup of Sym(Z_n) that is 2-equivalent to Aut(ring) for
     schurian rings, built by resolving prime-order singular classes.
@@ -293,12 +293,14 @@ def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
     lattice and loses just the class it was taken over, so the ring's own
     classes serve every extension.  Aut of the last extension is joined
     with the Gwr groups of the classes for M = Hol(S), last class first.
+    max_n and node_budget bound both automorphism searches, as in
+    aut_group; verified is None when Aut(ring) itself is out of them.
     """
     prime_classes = [cl for cl in singular_classes(ring) if is_prime(cl.order)]
     extended = ring
     for cl in prime_classes:
         extended = ext(extended, cl, group_ring(cl.order))
-    group = aut_group(extended, max_n=aut_max_n, node_budget=node_budget)
+    group = aut_group(extended, max_n=max_n, node_budget=node_budget)
     if prime_classes:
         gens = list(group.generators)
         for cl in reversed(prime_classes):
@@ -307,7 +309,7 @@ def resolve(ring: SRing, *, aut_max_n: int = DEFAULT_AUT_MAX_N,
         group = PermGroup(ring.n, gens)
     try:
         verified = two_equivalent(group, aut_group(
-            ring, max_n=aut_max_n, node_budget=node_budget))
+            ring, max_n=max_n, node_budget=node_budget))
     except BudgetError:
         verified = None
     return ResolveResult(group=group, verified=verified)

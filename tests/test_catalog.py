@@ -105,6 +105,15 @@ def test_example12_parameter_validation():
         Example12Params(p=5, p3=11, p4=13, d=3)  # 3 does not divide 4
     with pytest.raises(DomainError):
         example12(Example12Params(phi_choice=(2, 5)))  # 2 has order 12 mod 13
+    for d in (0, -4):
+        with pytest.raises(DomainError, match=f"d={d} must be a positive integer"):
+            Example12Params(d=d)
+
+
+def test_example12_negative_control_takes_the_least_image_twice():
+    # 5 is the least unit of order 4 mod 13 (8 is the other)
+    assert Example12Params().negative_control() == Example12Params(phi_choice=(5, 5))
+    assert Example12Params(d=2).negative_control().phi_choice == (12, 12)
 
 
 def test_example12_structural_facts():

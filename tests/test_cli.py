@@ -4,7 +4,8 @@ import json
 import pytest
 
 from circulant import cyclotomic
-from circulant.cli import main
+from circulant.cli import build_parser, main
+from circulant.scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -39,10 +40,25 @@ def test_malformed_json(capsys):
 
 
 def test_budget_exit_code(capsys):
-    ring = json.dumps({"basic_sets": [[0], list(range(1, 1100))]})
-    code, out, err = run_cli(capsys, "schurity", "--n", "1100", "--ring", ring)
+    ring = json.dumps({"basic_sets": [[0], list(range(1, 5001))]})
+    code, out, err = run_cli(capsys, "schurity", "--n", "5001", "--ring", ring)
     assert code == 2
-    assert "budget_error" in json.loads(err) or "budget_error" in err
+    assert out == ""
+    assert set(json.loads(err)) == {"budget_error"}
+    # below aut_group's max_n the schurity verb answers
+    ring = json.dumps({"basic_sets": [[0], list(range(1, 1100))]})
+    code, out, _ = run_cli(capsys, "schurity", "--n", "1100", "--ring", ring)
+    assert code == 0
+    assert json.loads(out)["schurian"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["aut"], ["schurity"], ["nonschurity", "--u", "3", "--l", "3"], ["resolve"],
+    ["sweep", "--ns", "4"], ["example12"],
+], ids=lambda argv: argv[0])
+def test_search_verbs_share_the_default_bounds(argv):
+    args = build_parser().parse_args(argv)
+    assert (args.max_n, args.max_nodes) == (DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET)
 
 
 def test_search_budget_error_goes_to_stderr(capsys):
@@ -126,8 +142,11 @@ Z3 = '{"n":3,"basic_sets":[[0],[1,2]]}'
 Z8_RING = '{"basic_sets":[[0],[1,3],[2,6],[4],[5,7]]}'
 Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
 # what the error of a malformed-input case must say, by case id: a string
-# modulus is shown as its repr, so that it is told apart from the flag's
-ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4"}
+# modulus is shown as its repr, so that it is told apart from the flag's,
+# and a d below 1 is named before any test of what d divides
+ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4",
+                   "example12-d-0": "d=0 must be a positive integer",
+                   "example12-d-negative": "d=-4 must be a positive integer"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,9 +164,12 @@ ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4"}
     ["example12", "--equal", "--d", "5"],
     ["example12", "--equal", "--p4", "2"],
     ["validate", "--n", "4", "--ring", '{"n":"4","basic_sets":[[0],[1,3],[2]]}'],
+    ["example12", "--d", "0"],
+    ["example12", "--d", "-4"],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
-        "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2", "string-n"])
+        "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2", "string-n",
+        "example12-d-0", "example12-d-negative"])
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, request, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
