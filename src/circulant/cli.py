@@ -240,7 +240,7 @@ def cmd_example12(args) -> dict:
     phi = None if args.phi is None else tuple(_ints("--phi", args.phi, 2))
     params = Example12Params(p=args.p, p3=args.p3, p4=args.p4, d=args.d,
                              phi_choice=phi)
-    if args.equal and phi is None:
+    if args.equal:
         params = params.negative_control()
     result = example12(params)
     sec = result.certificate_section
@@ -345,9 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p3", type=int, default=11)
     p.add_argument("--p4", type=int, default=13)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--phi", help="comma-separated pair of order-d images mod p4")
-    p.add_argument("--equal", action="store_true",
-                   help="negative control with equal isomorphisms")
+    # the negative control chooses its own pair of images
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--phi", help="comma-separated pair of order-d images mod p4")
+    choice.add_argument("--equal", action="store_true",
+                        help="negative control with equal isomorphisms")
     p.add_argument("--out")
     budgets(p)
     p.set_defaults(func=cmd_example12)

@@ -20,9 +20,11 @@ are the classes of differences y - x, which are the orbits of its
 stabilizer of 0 on Z_m.  A chain built by ``translation_chain`` gives
 them as the point orbits of its level 1; any other group as the
 components of the difference graph, d ~ g(x+d) - g(x) over every
-generator g and every x.  Both take m nodes.  Point orbits and these
-components are found by one numpy routine: min label propagation with
-pointer jumping.
+generator g and every x.  Both take m nodes.  A group built by
+``join_generators`` from a translation-chain group and more generators
+joins the two: the point edges of the first group's level 1 and the
+difference edges of the rest.  Point orbits and these components are
+found by one numpy routine: min label propagation with pointer jumping.
 
 The action induced on a section U/L requires a group that contains
 x -> x+1 and has the U-cosets and L-cosets as blocks.  The translations
@@ -621,13 +623,51 @@ def _two_orbit_classes(group: PermGroup) -> np.ndarray:
         if _has_translation_chain(group):
             least = _least_in_orbit(m, group.chain.level_generators(1))
         else:
-            perms = _perm_stack(group.generators, m)
-            # a translation adds only the loops d -> d
-            moving = ((perms - perms[:, :1]) % m != np.arange(m)).any(axis=1)
-            perms = perms[moving]
+            perms = _non_translations(group.generators, m)
             least = _least_in_component(m, lambda: _difference_edges(perms))
         group._two_orbit_labels = least
     return group._two_orbit_labels
+
+
+def _non_translations(generators, m: int) -> np.ndarray:
+    """_perm_stack of the generators without the translations, which add
+    only the loops d -> d to the difference graph."""
+    perms = _perm_stack(generators, m)
+    return perms[((perms - perms[:, :1]) % m != np.arange(m)).any(axis=1)]
+
+
+def join_generators(group: PermGroup, generators) -> PermGroup:
+    """PermGroup(m, group.generators + generators) for a group with a
+    translation chain, with its difference classes found at once: the
+    components of one graph on Z_m over the point edges of
+    group.chain.level_generators(1) and the difference edges of
+    ``generators`` only.
+
+    This is exact.  Let G be the group and H the join; both hold the
+    translations T.  For a group that holds T, the components of the
+    difference graph of any generating set are the orbits of its
+    stabilizer of 0 (see the module docstring), so H's classes are the
+    components of the difference edges of G's generators and of
+    ``generators`` together.  Those of G's generators alone are the orbits
+    of G_0, as G = T G_0, and so are the components of the point edges of
+    G_0's generators, level 1 of the chain.  The components of a union of
+    edge sets depend only on the components of each set, so the swap
+    leaves H's classes as they were.  H's chain is still built
+    generically, on demand."""
+    if not _has_translation_chain(group):
+        raise DomainError("join_generators needs a group with a translation chain")
+    m = group.degree
+    joined = PermGroup(m, [*group.generators, *generators])
+    points = _perm_stack(group.chain.level_generators(1), m)
+    perms = _non_translations(generators, m)
+
+    def edges():
+        if len(points):
+            yield points
+        yield from _difference_edges(perms)
+
+    joined._two_orbit_labels = _least_in_component(m, edges)
+    return joined
 
 
 def difference_classes(group: PermGroup) -> list[list[int]]:

@@ -5,7 +5,8 @@ permutation groups, and the resolution of singularities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import BudgetError, DomainError
@@ -16,6 +17,7 @@ from .perm import (
     holomorph,
     induced_action_table,
     induced_on_section,
+    join_generators,
     kernel_on_blocks,
     section_action,
     two_equivalent,
@@ -38,7 +40,14 @@ from .zn import Section, is_multiple, is_prime
 @dataclass(frozen=True)
 class ProjClass:
     """A class of projectively equivalent sections of an S-ring, with its
-    smallest and greatest members and structural flags."""
+    smallest and greatest members and structural flags.
+
+    ``isolated`` (the extremal pair is isolated in ``ring``, the ring the
+    class belongs to; see _pair_is_isolated) is decided the first time it
+    is read and kept.  A class of rank 2 and order > 2 is isolated iff it
+    is singular, which proj_classes decides at once; of the other classes
+    only ``circulant analyze`` reads the flag, and ``ext`` checks its pair
+    itself.  Not a dataclass field, so classes compare without it."""
 
     sections: tuple[Section, ...]
     s_min: Section
@@ -46,8 +55,14 @@ class ProjClass:
     order: int
     rank: int
     primitive: bool
-    isolated: bool
     singular: bool
+    ring: SRing = field(repr=False, compare=False)
+
+    @cached_property
+    def isolated(self) -> bool:
+        if self.rank == 2 and self.order > 2:
+            return self.singular
+        return self.order > 1 and _pair_is_isolated(self.ring, self.s_min, self.s_max)
 
     def sort_key(self):
         return (self.order, self.s_min.u, self.s_min.l)
@@ -74,7 +89,9 @@ def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
 
 def proj_classes(ring: SRing) -> list[ProjClass]:
     """All A-sections grouped into classes of projectively equivalent
-    sections, sorted by (order, s_min).
+    sections, sorted by (order, s_min).  A pure function of the ring's
+    value, cached by it: each call returns a fresh list of the same
+    (frozen) classes, so resolve reuses the classes its caller found.
 
     The A-subgroup orders form a distributive lattice under gcd and lcm, so
     the d | u with lcm(l, d) = u are closed under gcd and the d with l | d
@@ -82,6 +99,11 @@ def proj_classes(ring: SRing) -> list[ProjClass]:
     s_min = (r, gcd(l, r)), r the gcd of the first set, and has a greatest
     multiple s_max = (lcm(u, b), b), b the lcm of the second; two sections
     are projectively equivalent iff they share both."""
+    return list(_proj_classes_cached(ring))
+
+
+@lru_cache(maxsize=4096)
+def _proj_classes_cached(ring: SRing) -> tuple[ProjClass, ...]:
     lattice = subgroup_lattice(ring)
     sections: dict[tuple[int, int], Section] = {}
     classes: dict[tuple[tuple[int, int], tuple[int, int]], list[Section]] = {}
@@ -108,15 +130,14 @@ def proj_classes(ring: SRing) -> list[ProjClass]:
         order = s_min.order
         ring_s = section_ring(ring, s_min)
         primitive = order > 1 and subgroup_lattice(ring_s) == (1, order)
-        isolated = order > 1 and _pair_is_isolated(ring, s_min, s_max)
-        singular = ring_s.rank == 2 and order > 2 and isolated
+        singular = (ring_s.rank == 2 and order > 2
+                    and _pair_is_isolated(ring, s_min, s_max))
         out.append(ProjClass(
             sections=tuple(members), s_min=s_min, s_max=s_max, order=order,
-            rank=ring_s.rank, primitive=primitive,
-            isolated=isolated, singular=singular,
+            rank=ring_s.rank, primitive=primitive, singular=singular, ring=ring,
         ))
     out.sort(key=ProjClass.sort_key)
-    return out
+    return tuple(out)
 
 
 def singular_classes(ring: SRing) -> list[ProjClass]:
@@ -292,9 +313,13 @@ def resolve(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
     order with the full group ring on S: an extension keeps the A-subgroup
     lattice and loses just the class it was taken over, so the ring's own
     classes serve every extension.  Aut of the last extension is joined
-    with the Gwr groups of the classes for M = Hol(S), last class first.
-    max_n and node_budget bound both automorphism searches, as in
-    aut_group; verified is None when Aut(ring) itself is out of them.
+    with the Gwr groups of the classes for M = Hol(S), last class first
+    (join_generators: the 2-orbits of the join come from Aut's stabilizer
+    of 0 and the Gwr generators, its chain is still built generically).
+    The classes are proj_classes', cached, so a caller that has just
+    computed them does not pay again.  max_n and node_budget bound both
+    automorphism searches, as in aut_group; verified is None when
+    Aut(ring) itself is out of them.
     """
     prime_classes = [cl for cl in singular_classes(ring) if is_prime(cl.order)]
     extended = ring
@@ -302,11 +327,11 @@ def resolve(ring: SRing, *, max_n: int = DEFAULT_AUT_MAX_N,
         extended = ext(extended, cl, group_ring(cl.order))
     group = aut_group(extended, max_n=max_n, node_budget=node_budget)
     if prime_classes:
-        gens = list(group.generators)
+        gens = []
         for cl in reversed(prime_classes):
             spec = GwrSpec(cl.s_min, cl.s_max, holomorph(cl.order))
             gens.extend(gwr_group(ring.n, spec).generators)
-        group = PermGroup(ring.n, gens)
+        group = join_generators(group, gens)
     try:
         verified = two_equivalent(group, aut_group(
             ring, max_n=max_n, node_budget=node_budget))

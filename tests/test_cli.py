@@ -146,7 +146,8 @@ Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
 # and a d below 1 is named before any test of what d divides
 ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4",
                    "example12-d-0": "d=0 must be a positive integer",
-                   "example12-d-negative": "d=-4 must be a positive integer"}
+                   "example12-d-negative": "d=-4 must be a positive integer",
+                   "example12-equal-phi": "argument --phi: not allowed with argument --equal"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -166,10 +167,11 @@ ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4",
     ["validate", "--n", "4", "--ring", '{"n":"4","basic_sets":[[0],[1,3],[2]]}'],
     ["example12", "--d", "0"],
     ["example12", "--d", "-4"],
+    ["example12", "--equal", "--phi", "5,8"],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
         "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2", "string-n",
-        "example12-d-0", "example12-d-negative"])
+        "example12-d-0", "example12-d-negative", "example12-equal-phi"])
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, request, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)

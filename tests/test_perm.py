@@ -28,11 +28,13 @@ from circulant.perm import (
     StabChain,
     _has_translation_chain,
     check_perm,
+    difference_classes,
     groups_equal,
     identity,
     induced_action_table,
     inverse,
     is_identity,
+    join_generators,
     mult,
     symmetric_chain,
     translation,
@@ -216,8 +218,9 @@ def test_two_orbits_matches_pair_bfs(m, ngens, step, rng):
 
 def test_two_orbits_of_catalog_groups_match_pair_bfs():
     # every Aut group and resolve group over the catalogs with n <= 24;
-    # Aut reads its classes from level 1 of its chain, the copies from
-    # their difference graphs, and both kinds have x -> x+1 among their
+    # Aut reads its classes from level 1 of its chain, a resolve group
+    # joins the level 1 of its Aut with its Gwr generators, the copies use
+    # their difference graphs, and all have x -> x+1 among their
     # generators
     for n in range(1, 25):
         for ring in enumerate_srings(n):
@@ -230,6 +233,22 @@ def test_two_orbits_of_catalog_groups_match_pair_bfs():
                 assert not _has_translation_chain(fresh)
                 assert_same_labels(two_orbits(fresh), want)
                 assert_same_labels(two_orbits(group), want)
+
+
+@given(st.sampled_from([6, 8, 9, 12, 16]), st.integers(min_value=0, max_value=3), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_join_generators_matches_the_difference_graph(n, k, rng):
+    # Aut of a random catalog ring joined with k random permutations: the
+    # same generators as a fresh group, and the classes of its generic
+    # difference graph
+    aut = aut_group(rng.choice(list(enumerate_srings(n))))
+    extra = [tuple(rng.sample(range(n), n)) for _ in range(k)]
+    joined = join_generators(aut, extra)
+    fresh = PermGroup(n, [*aut.generators, *extra])
+    assert joined.generators == fresh.generators
+    assert difference_classes(joined) == difference_classes(fresh)
+    with pytest.raises(DomainError, match="translation chain"):
+        join_generators(fresh, extra)
 
 
 def test_two_equivalent_compares_differences_without_x_plus_1_as_generator():

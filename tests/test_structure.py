@@ -28,7 +28,7 @@ from circulant import (
     canonical_gwp,
 )
 from circulant import structure
-from circulant.perm import PermGroup, groups_equal, kernel_on_blocks
+from circulant.perm import PermGroup, difference_classes, groups_equal, kernel_on_blocks
 from circulant.structure import ProjClass, _pair_is_isolated
 from circulant.zn import is_prime
 from circulant.scheme import color_matrix
@@ -91,20 +91,25 @@ def pairwise_closure_classes(ring):
         ring_s = section_ring(ring, s_min)
         primitive = order > 1 and subgroup_lattice(ring_s) == (1, order)
         isolated = order > 1 and _pair_is_isolated(ring, s_min, s_max)
-        out.append(ProjClass(
+        cl = ProjClass(
             sections=tuple(sorted(members, key=lambda s: (s.u, s.l))),
             s_min=s_min, s_max=s_max, order=order,
-            rank=ring_s.rank, primitive=primitive, isolated=isolated,
-            singular=ring_s.rank == 2 and order > 2 and isolated,
-        ))
-    out.sort(key=ProjClass.sort_key)
+            rank=ring_s.rank, primitive=primitive,
+            singular=ring_s.rank == 2 and order > 2 and isolated, ring=ring,
+        )
+        out.append((cl, isolated))
+    out.sort(key=lambda pair: pair[0].sort_key())
     return out
 
 
 def test_proj_classes_match_pairwise_closure():
+    # isolated is read on demand, not a compared field: compare it as well
     rings = [ring for n in range(1, 73) for ring in enumerate_srings(n)]
     for ring in rings + [group_ring(720), group_ring(2520)]:
-        assert proj_classes(ring) == pairwise_closure_classes(ring), ring.cells
+        expected = pairwise_closure_classes(ring)
+        classes = proj_classes(ring)
+        assert classes == [cl for cl, _ in expected], ring.cells
+        assert [cl.isolated for cl in classes] == [iso for _, iso in expected], ring.cells
 
 
 def test_proj_classes_extremal_members():
@@ -409,14 +414,48 @@ def recursive_resolve_group(ring):
 def test_resolve_matches_the_recursive_resolution():
     # the loop extends over the ring's own prime singular classes; the
     # recursion re-analyses each extension.  Same generators, in order.
+    # The group's 2-orbit classes, joined from Aut's stabilizer of 0 and
+    # the Gwr generators, are those of the generic difference graph of the
+    # same generators.
     checked = 0
     for n in range(1, 31):
         for ring in enumerate_srings(n):
             if not any(is_prime(cl.order) for cl in singular_classes(ring)):
                 continue
-            assert resolve(ring).group.generators == recursive_resolve_group(ring).generators
+            group = resolve(ring).group
+            assert group.generators == recursive_resolve_group(ring).generators
+            fresh = PermGroup(n, group.generators)
+            assert difference_classes(group) == difference_classes(fresh), ring.cells
             checked += 1
     assert checked == 288
+
+
+def test_proj_classes_then_resolve_find_the_classes_once(monkeypatch):
+    # the sweep's order over the n = 36 catalog: each ring's classes are
+    # computed once, and _pair_is_isolated runs only for the rank-2
+    # classes of order > 2 (singular needs no other) and in ext's checks
+    counts = {"isolated": 0, "ext": 0}
+    pair_is_isolated, extension = structure._pair_is_isolated, structure.ext
+
+    def counted_isolated(*args):
+        counts["isolated"] += 1
+        return pair_is_isolated(*args)
+
+    def counted_ext(*args):
+        counts["ext"] += 1
+        return extension(*args)
+
+    monkeypatch.setattr(structure, "_pair_is_isolated", counted_isolated)
+    monkeypatch.setattr(structure, "ext", counted_ext)
+    structure._proj_classes_cached.cache_clear()
+    rings = enumerate_srings(36)
+    candidates = 0
+    for ring in rings:
+        candidates += sum(cl.rank == 2 and cl.order > 2 for cl in proj_classes(ring))
+        resolve(ring)
+    assert structure._proj_classes_cached.cache_info().misses == len(rings) == 284
+    assert counts["isolated"] == candidates + counts["ext"]
+    assert (candidates, counts["ext"]) == (344, 180)
 
 
 def test_resolve_runs_proj_classes_once(z9_fixture, monkeypatch):
