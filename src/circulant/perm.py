@@ -27,13 +27,14 @@ difference edges of the rest.  Point orbits and these components are
 found by one numpy routine: min label propagation with pointer jumping.
 
 The action induced on a section U/L requires a group that contains
-x -> x+1 and has the U-cosets and L-cosets as blocks.  The translations
-t_j are then coset representatives of the setwise stabilizer of U, and
-its Schreier generators t_j g t_k^-1 are read only at the u/l points of U
-that give their action on U/L.  A group with a translation chain is
-T G_0, the translations times the stabilizer of 0; its induced group and
-the intersection of two such groups are built the same way, with
-Schreier-Sims and enumeration confined to the stabilizers of 0.
+x -> x+1 and has the U-cosets and L-cosets as blocks, and is read only at
+the u/l points of U that give it.  A group with a translation chain,
+Z_1's included, is T G_0, the translations times the stabilizer of 0: its
+induced group is generated by the translations of Z_{u/l} and the image
+of G_0, and ``intersect`` takes only such groups and enumerates the
+smaller of their stabilizers of 0.  Any other group (``join_generators``)
+induces the actions of its Schreier generators t_j g t_k^-1, the
+translations t_j being coset representatives of the stabilizer of U.
 """
 
 from __future__ import annotations
@@ -460,26 +461,20 @@ class PermGroup:
         return orbits(self.degree, self.generators)
 
     def is_transitive(self) -> bool:
-        return self.degree == 1 or len(self.orbits()) == 1
+        return len(self.orbits()) == 1
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def trivial_group(n: int) -> PermGroup:
-    return PermGroup(n, [])
-
-
 def translations(n: int) -> PermGroup:
     """The regular group of translations of Z_n."""
-    if n == 1:
-        return trivial_group(1)
     return PermGroup(n, [translation(n, 1)], chain=translation_chain(n))
 
 
 def symmetric(n: int) -> PermGroup:
     if n <= 1:
-        return trivial_group(max(n, 1))
+        return translations(1)
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
@@ -503,8 +498,6 @@ def holomorph(m: int) -> PermGroup:
     """Hol(Z_m): generated by x -> x+1 and x -> g*x for unit generators g.
     Its chain is known by construction: the translations, then the unit
     multipliers (the stabilizer of 0) at base point 1; order m * phi(m)."""
-    if m == 1:
-        return trivial_group(1)
     multipliers = [_multiplier(m, g) for g in unit_generators(m)]
     levels = [(1, _Multipliers(m), multipliers)] if multipliers else []
     return PermGroup(m, [translation(m, 1), *multipliers],
@@ -734,34 +727,39 @@ def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
     stabilizer of U, under the canonical identification with Z_{u/l}.
 
     Requires the U-coset and L-coset partitions to be invariant and the
-    group to contain x -> x+1 (see the module docstring).  The generators
-    are the actions of the Schreier generators t_j g t_k^-1.
+    group to contain x -> x+1 (see the module docstring).
 
     A group G whose chain was built by translation_chain gets a chain of
     the same kind on Z_{u/l}, with Schreier-Sims run only on the
-    stabilizer of 0:
+    stabilizer of 0, and the generators that chain is built from:
+    c -> c+1 and sigma(h) = section_action(h, 0, sec)[1] over the
+    generators h of G_0, level 1 of G's chain.
     - G = T G_0, for the translations T and the stabilizer G_0 of 0, and
-      G_0 maps U, the block of 0, onto itself.
+      G_0 maps U, the block of 0, onto itself.  So the stabilizer of U is
+      T_U G_0, for the translations T_U by the elements of U.
+    - T_U induces the translations of Z_{u/l}, generated by the image
+      c -> c+1 of t_{n/u}.
     - The stabilizer of 0 (the coset L) in G^{U/L} is the image of G_0:
-      an element t_v g of the stabilizer of U, g in G_0, maps L onto L
-      exactly when v is in L, and t_v then acts trivially on U/L.  That
-      image is generated by sigma(h) = section_action(h, 0, sec)[1] over
-      the generators h of G_0, each fixing 0.
-    - t_{n/u} induces c -> c+1, so G^{U/L} holds the translations of
-      Z_{u/l}, and |G^{U/L}| = u/l * |<sigma(h)>|.
+      an element t_v g, g in G_0, maps L onto L exactly when v is in L,
+      and t_v then acts trivially on U/L.  That image is generated by the
+      sigma(h), as each h fixes 0.
+    So |G^{U/L}| = u/l * |<sigma(h)>|.  Any other group's generators are
+    the actions of the Schreier generators t_j g t_k^-1 of each generator
+    g and j < n/u, and its chain is built generically, on demand.
     """
     _check_section(group, sec)
     if sec.u == sec.n and sec.l == 1:
         return group
-    induced = {section_action(g, j, sec)[1]
-               for g in group.generators for j in range(sec.n // sec.u)}
+    s = sec.order
     if not _has_translation_chain(group):
-        return PermGroup(sec.order, induced)
-    stabilizer = StabChain(sec.order)
-    for h in group.chain.level_generators(1):
-        stabilizer.insert(section_action(h, 0, sec)[1])
-    return PermGroup(sec.order, induced,
-                     chain=translation_chain(sec.order, _levels(stabilizer)))
+        return PermGroup(s, {section_action(g, j, sec)[1]
+                             for g in group.generators for j in range(sec.n // sec.u)})
+    sigmas = [section_action(h, 0, sec)[1] for h in group.chain.level_generators(1)]
+    stabilizer = StabChain(s)
+    for sigma in sigmas:
+        stabilizer.insert(sigma)
+    return PermGroup(s, [translation(s, 1), *sigmas],
+                     chain=translation_chain(s, _levels(stabilizer)))
 
 
 def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
@@ -805,36 +803,33 @@ def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
 
 
 def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
-    """Intersection by enumerating the smaller group and sifting through
-    the larger group's chain.  Hard error when the smaller group's order
-    exceeds the enumeration threshold.
+    """Intersection of two groups whose chains were built by
+    translation_chain (else DomainError, as for join_generators).
 
-    Two groups whose chains were built by translation_chain both hold the
-    translations T, and so does their intersection, which is therefore
-    T (H1_0 & H2_0) for the stabilizers H1_0, H2_0 of 0.  Only the smaller
-    stabilizer of 0 is enumerated, and the result carries a translation
-    chain again.
+    Both hold the translations T, and so does their intersection, which is
+    therefore T (H1_0 & H2_0) for the stabilizers H1_0, H2_0 of 0.  The
+    smaller stabilizer of 0 is enumerated and each element sifted through
+    the other group's chain; the result carries a translation chain again.
+    Hard error when that stabilizer's order, the smaller group's order
+    over m, exceeds the enumeration threshold.
     """
     if g1.degree != g2.degree:
         raise DomainError(f"degree mismatch: {g1.degree} != {g2.degree}")
+    if not (_has_translation_chain(g1) and _has_translation_chain(g2)):
+        raise DomainError("intersect needs two groups with translation chains")
     small, big = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
-    if small.order() > INTERSECT_ENUM_THRESHOLD:
-        raise BudgetError(
-            f"both groups exceed enumeration threshold {INTERSECT_ENUM_THRESHOLD} "
-            f"(orders {g1.order()}, {g2.order()})")
     m = small.degree
-    over_translations = _has_translation_chain(g1) and _has_translation_chain(g2)
-    if over_translations:
-        enumerated, gens = StabChain.from_levels(m, _levels(small.chain, 1)), [translation(m, 1)]
-    else:
-        enumerated, gens = small.chain, []
+    stabilizer = StabChain.from_levels(m, _levels(small.chain, 1))
+    if stabilizer.order() > INTERSECT_ENUM_THRESHOLD:
+        raise BudgetError(
+            f"the smaller stabilizer of 0 exceeds enumeration threshold "
+            f"{INTERSECT_ENUM_THRESHOLD} (group orders {g1.order()}, {g2.order()})")
     result = StabChain(m)
-    for el in enumerated.elements():
+    gens = [translation(m, 1)]
+    for el in stabilizer.elements():
         if big.chain.contains(el) and result.insert(el):
             gens.append(el)
-    if over_translations:
-        result = translation_chain(m, _levels(result))
-    return PermGroup(m, gens, chain=result)
+    return PermGroup(m, gens, chain=translation_chain(m, _levels(result)))
 
 
 def induced_action_table(group: PermGroup, sec: Section, wanted) -> dict[Perm, Perm]:

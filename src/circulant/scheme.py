@@ -423,8 +423,6 @@ def _chain_group(chain) -> PermGroup:
 @lru_cache(maxsize=4096)
 def _aut_group_cached(ring: SRing, node_budget: int) -> PermGroup:
     n = ring.n
-    if n == 1:
-        return PermGroup(1, [])
     if ring.rank <= 2:
         # A scheme with at most one off-diagonal color is preserved by every
         # permutation, so Aut = Sym(n) exactly.
@@ -497,10 +495,11 @@ def nonschurity_criterion(ring: SRing, sec: Section, *,
     inconclusive.
 
     Every group here holds the translations and carries a translation
-    chain: Aut(A_U) and Aut(A_{G/L}) from the search, their induced groups
-    on S from induced_on_section, which runs Schreier-Sims only on the
-    image of each stabilizer of 0, and their intersection T (H1_0 & H2_0),
-    from intersect, which enumerates only the smaller stabilizer of 0.
+    chain, a section of order 1 included: Aut(A_U) and Aut(A_{G/L}) from
+    aut_group, their induced groups on S from induced_on_section, which
+    runs Schreier-Sims only on the image of each stabilizer of 0, and
+    their intersection T (H1_0 & H2_0), from intersect, which enumerates
+    only the smaller stabilizer of 0 (BudgetError past its threshold).
     The 2-orbits of the intersection are read from its level 1."""
     n, u, l = sec.n, sec.u, sec.l
     if ring.n != n:

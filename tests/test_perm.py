@@ -41,7 +41,7 @@ from circulant.perm import (
     translation_chain,
     unit_generators,
 )
-from circulant.sring import cyclotomic, section_ring, subgroup_lattice
+from circulant.sring import cyclotomic, group_ring, section_ring, subgroup_lattice
 from circulant.zn import divisors, unit_group
 from circulant.structure import canonical_gwp
 
@@ -134,6 +134,9 @@ def test_symmetric_and_translations_use_implicit_chains():
     assert symmetric(200).order() == math.factorial(200)
     assert translations(2000).order() == 2000
     assert symmetric(2).order() == 2 and translations(1).order() == 1
+    # Z_1 is one point, and its groups carry the translation chain of it
+    for g in (aut_group(group_ring(1)), translations(1), holomorph(1), symmetric(1)):
+        assert _has_translation_chain(g) and g.order() == 1 and g.is_transitive()
 
 
 def pair_bfs_two_orbits(group):
@@ -225,7 +228,7 @@ def test_two_orbits_of_catalog_groups_match_pair_bfs():
     for n in range(1, 25):
         for ring in enumerate_srings(n):
             aut = aut_group(ring)
-            assert n == 1 or _has_translation_chain(aut)
+            assert _has_translation_chain(aut)
             for group in (aut, resolve(ring).group):
                 want = pair_bfs_two_orbits(group)
                 fresh = PermGroup(n, group.generators)
@@ -418,11 +421,25 @@ def oracle_canonical_gwp(d_u, d_0, sec):
     return PermGroup(n, gens)
 
 
+def oracle_intersect(g1, g2):
+    """Enumerate-and-sift on chainless copies: every element of the
+    smaller group's generic chain, sifted through the larger one's."""
+    small, big = sorted((PermGroup(g.degree, g.generators) for g in (g1, g2)),
+                        key=PermGroup.order)
+    chain, gens = StabChain(small.degree), []
+    for el in small.elements():
+        if big.chain.contains(el) and chain.insert(el):
+            gens.append(el)
+    return PermGroup(small.degree, gens, chain=chain)
+
+
 def test_section_actions_match_the_degree_n_route():
-    # exact generator tuples, in order, over every Aut and resolve group of
-    # the catalogs with n <= 24 and every section of the ring; action
-    # tables up to s = 6; canonical products of the Aut groups of the
-    # rings on U and on G/L
+    # over every Aut and resolve group of the catalogs with n <= 24 and
+    # every section of the ring: a group with a translation chain (every
+    # Aut) induces the oracle's group, by order, membership both ways and
+    # difference classes; any other (a joined resolve group) the oracle's
+    # exact generator tuples, in order.  Action tables up to s = 6;
+    # canonical products of the Aut groups of the rings on U and on G/L
     products = 0
     for n in range(2, 25):
         for ring in enumerate_srings(n):
@@ -430,8 +447,12 @@ def test_section_actions_match_the_degree_n_route():
             sections = [Section(n, u, l) for u in lattice for l in lattice if u % l == 0]
             for group in (aut_group(ring), resolve(ring).group):
                 for sec in sections:
-                    assert (induced_on_section(group, sec).generators
-                            == oracle_induced(group, sec).generators)
+                    induced, want = induced_on_section(group, sec), oracle_induced(group, sec)
+                    if _has_translation_chain(group):
+                        assert groups_equal(induced, want) and groups_equal(want, induced)
+                        assert difference_classes(induced) == difference_classes(want)
+                    else:
+                        assert induced.generators == want.generators
                     if sec.order <= 6:
                         oracle = oracle_action_table(group, sec)
                         table = induced_action_table(group, sec, oracle.keys())
@@ -483,9 +504,9 @@ def test_induced_groups_of_equivalent_sections_match():
 def test_induced_groups_and_intersections_match_generic_chains():
     # over every catalog Aut group with n <= 24 and every A-section U/L
     # with 1 < u/l < n: the translation chain of the induced group against
-    # the generic chain of its generators, and the intersection of the two
-    # induced groups of the non-schurity criterion against
-    # enumerate-and-sift on copies without the translation chain
+    # the generic chain of its generators and the oracle's group, and the
+    # intersection of the two induced groups of the non-schurity criterion
+    # against oracle_intersect
     pairs = 0
     for n in range(2, 25):
         for ring in enumerate_srings(n):
@@ -496,7 +517,8 @@ def test_induced_groups_and_intersections_match_generic_chains():
                 sec = Section(n, u, l)
                 induced = induced_on_section(aut, sec)
                 generic = PermGroup(sec.order, induced.generators)
-                assert induced.generators == oracle_induced(aut, sec).generators
+                want = oracle_induced(aut, sec)
+                assert groups_equal(induced, want) and groups_equal(want, induced)
                 assert _has_translation_chain(induced)
                 assert induced.order() == generic.order()
                 assert all(generic.contains(g) for g in induced.chain.strong_generators())
@@ -508,8 +530,7 @@ def test_induced_groups_and_intersections_match_generic_chains():
                 bottom = induced_on_section(aut_group(section_ring(ring, Section(n, n, l))),
                                             Section(n // l, u // l, 1))
                 inter = intersect(top, bottom)
-                oracle = intersect(PermGroup(sec.order, top.generators),
-                                   PermGroup(sec.order, bottom.generators))
+                oracle = oracle_intersect(top, bottom)
                 assert _has_translation_chain(inter) and not _has_translation_chain(oracle)
                 assert groups_equal(inter, oracle) and groups_equal(oracle, inter)
                 pairs += 1
@@ -549,10 +570,18 @@ def test_intersect_examples():
     h5 = holomorph(5)
     w = (0, 2, 1, 3, 4)
     conj = PermGroup(5, [mult(mult(inverse(w), g), w) for g in h5.generators])
-    inter = intersect(h5, conj)
+    # conj has no translation chain: only the oracle intersects it
+    with pytest.raises(DomainError, match="translation chains"):
+        intersect(h5, conj)
+    inter = oracle_intersect(h5, conj)
     brute = [e for e in h5.elements() if conj.contains(e)]
     assert inter.order() == len(brute)
     assert all(h5.contains(g) and conj.contains(g) for g in inter.generators)
+    # the budget counts the stabilizer of 0, the part enumerated: 1008
+    # elements of Hol(1009), of order 1,017,072, and 29! of Sym(30)
+    h1009 = holomorph(1009)
+    inter = intersect(h1009, h1009)
+    assert groups_equal(inter, h1009) and _has_translation_chain(inter)
     with pytest.raises(BudgetError):
         intersect(symmetric(30), symmetric(30))
 

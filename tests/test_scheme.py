@@ -43,6 +43,7 @@ from circulant.perm import (
 )
 from circulant.scheme import (
     DEFAULT_NODE_BUDGET,
+    NonSchurityReport,
     _preserves_colors,
     _StabilizerSearch,
     _aut_group_cached,
@@ -320,6 +321,10 @@ def test_is_normal_is_the_conjugation_test():
 def test_nonschurity_criterion_fixture(z9_fixture):
     report = nonschurity_criterion(z9_fixture, Section(9, 3, 3))
     assert not report.holds  # the fixture is schurian: inconclusive
+    # u = 1: every group is the one of Z_1
+    report = nonschurity_criterion(z9_fixture, Section(9, 1, 1))
+    assert report == NonSchurityReport(holds=False, intersection_order=1,
+                                       section_aut_order=1, induced_orders=(1, 1))
     # wreath of rank-2 rings over Z_{p^2} is schurian: criterion cannot hold
     from circulant import generalized_wreath
 

@@ -26,7 +26,6 @@ KEPT = {
     "canonical_gwp": "the paper's generalized wreath product of permutation groups",
     "sections": "ProjClass.sections, the members of a class, read by acceptance criteria 4 and 6",
     "symmetric": "public constructor of Sym(n) with its chain built by construction",
-    "translations": "public constructor of the regular group of Z_n",
     "wreath": "public constructor of the paper's wreath product of S-rings",
 }
 
