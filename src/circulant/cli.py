@@ -216,6 +216,8 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> dict:
     ns = _ints("--ns", args.ns)
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be a positive integer, got {args.jobs}")
     payloads = [(n, args.max_n, args.max_nodes) for n in ns]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -12,10 +12,13 @@ x it must be the same at every point z as at the least point of z's
 cell, which compares every count c_XY at z at once.  A slab of whole
 rings is one sort of the rows [ring, z, x].  A ring too large for a slab
 is checked alone, a block of whole cells x at a time, with the same rows
-[z, x] sorted along x, and over about half its points: the z up to n/2
-and the negated least point of each cell, which suffices by inverse
-closure (the proof is in _check_structure_constants).  Every temporary
-has a fixed size, whatever n or the cell sizes.
+[z, x] sorted along x, and over one point per orbit of K, the units m
+with m * X = X for every cell X: the orbit minima up to n/2 and that of
+the negated least point of each cell.  The rows at z and m * z agree,
+and inverse closure gives the points above n/2 (the proof is in
+_check_structure_constants).  For the Z_3575 ring of example12 that is
+385 points in place of 1,831.  Every temporary has a fixed size,
+whatever n or the cell sizes.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def _axiom_error(n: int, cells) -> str | None:
 
 def _points(ring: SRing) -> np.ndarray:
     """The points of Z_n cell by cell, in canonical order."""
-    return np.fromiter((x for cell in ring.cells for x in cell), dtype=np.int64, count=ring.n)
+    return np.fromiter(chain.from_iterable(ring.cells), dtype=np.int64, count=ring.n)
 
 
 def rolled_cells(ring: SRing, dtype) -> np.ndarray:
@@ -222,23 +225,33 @@ def _check_structure_constants(rings: list[SRing]) -> None:
 
     A ring whose n * n exceeds a slab is taken alone, with the rows [z, x]
     for x in a block of whole cells (_first_failing_cell), and z only in
-    H = {0..n//2} u {-l(Z) mod n : Z a cell}, l(Z) the least point of Z.
-    That suffices.  Let row(z, X) be the multiset {cell(z - x) : x in X}
-    and inv map each cell to its negation, a cell by inverse closure
-    (checked before).  Negating z - x gives row(-z, -X) = inv(row(z, X)).
-    Suppose that for every cell the rows at its points in H agree, and
-    take z outside H, in the cell Z.  Then z > n/2, so -z and l(-Z) <= -z
-    lie in -Z and in H, and
-        row(z, X) = inv(row(-z, -X)) = inv(row(l(-Z), -X)) = row(-l(-Z), X).
-    The point -l(-Z) lies in Z and in H, so z has the row of the points of
-    Z in H.  The check over H mixes X and -X, so when it fails the same
-    check runs again over every z, to find the least failing X.
+        H_K = {z <= n/2 : rep(z) = z} u {rep(-l(Z)) : Z a cell},
+    l(Z) the least point of Z, K the group of units m with m * X = X for
+    every cell X, and rep(z) the least point of the orbit K * z
+    (_multiplier_orbit_minima).  For K = {1} this is {0..n//2} with the
+    negated least points.  That suffices.  Let row(z, X) be the multiset
+    {cell(z - x) : x in X} and inv map each cell to its negation, a cell
+    by inverse closure (checked before).  For m in K, x -> m * x permutes
+    X and fixes every cell, so row(m * z, X) = row(z, X): every z has the
+    row of rep(z), a point of its cell.  Negating z - x gives
+    row(-z, -X) = inv(row(z, X)).  Suppose that for every cell the rows
+    at its points in H_K agree, and take z in the cell Z.  If
+    rep(z) <= n/2, it is in H_K.  Otherwise w = rep(z) > n/2, so -w < n/2
+    lies in -Z, and rep(-w) <= -w and l(-Z), least in -Z and so in its
+    orbit, are points of -Z in H_K; hence
+        row(z, X) = row(w, X) = inv(row(-w, -X)) = inv(row(rep(-w), -X))
+                  = inv(row(l(-Z), -X)) = row(-l(-Z), X),
+    the row of rep(-l(-Z)), a point of Z in H_K.  So z has the row of the
+    points of Z in H_K.  The check over H_K mixes X and -X, so when it
+    fails the same check runs again over every z, to find the least
+    failing X.  A rank-2 ring has only the rows of {0}, the cell of z at
+    every z, which K would not shorten, so K is sought above rank 2 only.
 
     Neither check builds the rows of the last cell W.  For any two points
     z, z' of one cell at which the rows of every other cell agree, those
     of W agree too: c_WY = c_YW for Y other than W, and
     c_WW = |W| - sum of c_WY over those Y, since each w in W gives z - w
-    in exactly one cell.  So over H the rows of every cell agree, and
+    in exactly one cell.  So over H_K the rows of every cell agree, and
     the argument above applies; and when a cell fails, one other than W
     fails, so the least failing cell is never W.
 
@@ -271,20 +284,85 @@ def _check_structure_constants(rings: list[SRing]) -> None:
             r = int(np.argmax((rows != ref).any(axis=(1, 2))))
             _raise_first_failure(rings[r], _least_failing_cell(rows[r], ref[r], rank[r]))
         return
-    # a ring larger than a slab is the only ring of its batch
+    # a ring larger than a slab is the only ring of its batch, so at holds
+    # its points cell by cell
     (ring,) = rings
-    # H: the points up to n/2 and the negated least point of every cell
+    # H_K: the orbit minima up to n/2 and the orbit minimum of the negated
+    # least point of every cell
+    rep = _multiplier_orbit_minima(cell[0], least[0]) if ring.rank > 2 else np.arange(n)
+    half = np.arange(n // 2 + 1)
     in_h = np.zeros(n, dtype=bool)
-    in_h[:n // 2 + 1] = True
-    in_h[(n - least[0]) % n] = True
+    in_h[half] = rep[half] == half
+    in_h[rep[(n - least[0]) % n]] = True
     window = rolled_cells(ring, dtype)
-    if _first_failing_cell(ring, window, np.flatnonzero(in_h)) is not None:
-        _raise_first_failure(ring, _first_failing_cell(ring, window, np.arange(n)))
+    if _first_failing_cell(ring, window, at, np.flatnonzero(in_h)) is not None:
+        _raise_first_failure(ring, _first_failing_cell(ring, window, at, np.arange(n)))
 
 
-def _first_failing_cell(ring: SRing, window: np.ndarray, zs: np.ndarray) -> int | None:
+def _multiplier_orbit_minima(cell: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """rep[x], the least point of the orbit of x under K, the units m of
+    Z_n with m * X = X for every cell X; cell[x] is the cell of x and
+    least[x] its least point.
+
+    Such an m lies in the cell of 1, since m = m * 1.  The units of that
+    cell are screened at the least point of every cell, and the survivors
+    taken in increasing order: m is already in the group <gens> found so
+    far iff rep[m] == 1, and otherwise is checked at every point and
+    joined to gens if it passes (_join_powers).  When m fails, so does
+    every point of its orbit under <gens>, m times an element of K.  Every
+    temporary has O(n) entries or a chunk's _CHECK_ENTRIES; K is never
+    listed.
+    """
+    n = len(cell)
+    x = np.arange(n)
+    units = np.flatnonzero(cell == cell[1])
+    units = units[np.gcd(units, n) == 1][1:]
+    if not len(units):
+        return x
+    # the screen at the least points other than those of {0} and the cell
+    # of 1, which every candidate fixes, a chunk of candidates at a time
+    firsts = np.flatnonzero(least == x)[2:]
+    step = _CHECK_ENTRIES // max(1, len(firsts))
+    keep = np.empty(len(units), dtype=bool)
+    for start in range(0, len(units), step):
+        chunk = units[start:start + step]
+        keep[start:start + step] = (cell[np.outer(chunk, firsts) % n] == cell[firsts]).all(axis=1)
+    # failed starts with 1, whose orbit is <gens>
+    candidates, rep, failed = units[keep], x, [1]
+    while len(candidates):
+        m, candidates = int(candidates[0]), candidates[1:]
+        image = m * x % n
+        if np.array_equal(cell[image], cell):
+            rep = _join_powers(rep, image)
+        else:
+            failed.append(m)
+        # the orbits of <gens> and of the failed candidates
+        dead = np.zeros(n, dtype=bool)
+        dead[rep[failed]] = True
+        candidates = candidates[~dead[rep[candidates]]]
+    return rep
+
+
+def _join_powers(rep: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """r(x) = min over j >= 0 of rep[g^j x], for image[x] = g * x mod n.
+
+    By doubling: r_1 = rep, and r_2t(x) = min(r_t(x), r_t(g^t x)) is the
+    minimum over j < 2t.  Once r_2t = r_t, r_t(x) <= r_t(g^t x) around
+    every cycle of g^t, so r_t is invariant under g^t and already r.  That
+    takes at most 1 + ceil(log2 e) steps, e the order of g.
+    """
+    while True:
+        joined = np.minimum(rep, rep[image])
+        if np.array_equal(joined, rep):
+            return rep
+        rep, image = joined, image[image]
+
+
+def _first_failing_cell(ring: SRing, window: np.ndarray, points: np.ndarray,
+                        zs: np.ndarray) -> int | None:
     """The least cell X whose rows differ at two points of one cell in zs
-    (ascending); None if there is none.
+    (ascending); None if there is none.  points are the points of Z_n cell
+    by cell (_points).
 
     For a block of whole cells with points xs, the rows [z, x] = cell of
     z - x tagged by the cell of x, z in zs, are built a chunk of at most
@@ -303,7 +381,7 @@ def _first_failing_cell(ring: SRing, window: np.ndarray, zs: np.ndarray) -> int 
     index[zs] = np.arange(len(zs))
     # the index in zs of the reference row of each point of zs
     at = index[first][cell[zs]]
-    points, end = _points(ring), 0
+    end = 0
     # a chunk's rows and the earlier rows it needs, in one buffer for all
     # chunks (a cell has at most MAX_MODULUS < _CHECK_ENTRIES points)
     buffer = np.empty(2 * _CHECK_ENTRIES, dtype=window.dtype)

@@ -147,7 +147,9 @@ Z9_RING = '{"basic_sets":[[0],[3,6],[1,2,4,5,7,8]]}'
 ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4",
                    "example12-d-0": "d=0 must be a positive integer",
                    "example12-d-negative": "d=-4 must be a positive integer",
-                   "example12-equal-phi": "argument --phi: not allowed with argument --equal"}
+                   "example12-equal-phi": "argument --phi: not allowed with argument --equal",
+                   "sweep-jobs-0": "--jobs must be a positive integer, got 0",
+                   "sweep-jobs-negative": "--jobs must be a positive integer, got -2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,10 +170,13 @@ ERROR_FRAGMENTS = {"string-n": "JSON says '4', flag says 4",
     ["example12", "--d", "0"],
     ["example12", "--d", "-4"],
     ["example12", "--equal", "--phi", "5,8"],
+    ["sweep", "--ns", "10", "--jobs", "0"],
+    ["sweep", "--ns", "10", "--jobs", "-2"],
 ], ids=["not-an-object", "no-basic-sets", "non-integer-cell", "tensor-bad-json",
         "gwp-without-l", "sweep-bad-ns", "example12-one-phi", "missing-file", "boolean-n",
         "empty-cell", "no-cells", "example12-equal-d-5", "example12-equal-p4-2", "string-n",
-        "example12-d-0", "example12-d-negative", "example12-equal-phi"])
+        "example12-d-0", "example12-d-negative", "example12-equal-phi", "sweep-jobs-0",
+        "sweep-jobs-negative"])
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, monkeypatch, request, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)

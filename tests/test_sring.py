@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from circulant import (
     DomainError,
+    Example12Params,
     Section,
     classify,
     cyclotomic,
+    example12,
     generalized_wreath,
     group_ring,
     radical,
@@ -22,8 +24,9 @@ from circulant import (
     validate_batch,
     wreath,
 )
-from circulant.zn import divisors, multiplicative_closure, unit_group
-from circulant.sring import canonical_partition
+from circulant import sring
+from circulant.zn import divisors, multiplicative_closure, multiplicative_order, unit_group
+from circulant.sring import SRing, canonical_partition
 
 
 # (n, partition, message) for each axiom validate checks
@@ -211,13 +214,9 @@ def test_structure_check_matches_pairwise_oracle_on_large_rings():
     assert validate_message(1201, cells) == expected
 
 
-def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture):
-    # a ring with n * n above a slab is checked over the points up to n/2
-    # and the negated least point of each cell, and a failure is worded by
-    # the same check over every point
-    from circulant import sring
-
-    rng = random.Random(23)
+def beyond_a_slab_rings(example12_fixture, rng):
+    """Rings with n * n above a slab: the Z_325 factor of example12, and
+    rank-2 and cyclotomic rings at random n in 257..700."""
     # the cells of group_ring(300) above 150 have their least points there
     rings = [group_ring(300), example12_fixture.right]
     for n in rng.sample(range(257, 701), 8):
@@ -227,6 +226,16 @@ def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture
     # Cyc(<g>, Z_307), g of order 3, has cells of three points above n/2
     g = next(u for u in unit_group(307) if u > 1 and pow(u, 3, 307) == 1)
     rings.append(cyclotomic(307, (g,)))
+    return rings
+
+
+def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture):
+    # a ring with n * n above a slab is checked over the orbit minima of
+    # its cell-fixing units up to n/2 and that of the negated least point
+    # of each cell, and a failure is worded by the same check over every
+    # point
+    rng = random.Random(23)
+    rings = beyond_a_slab_rings(example12_fixture, rng)
     assert any(cell[0] > 307 // 2 and len(cell) == 3 for cell in rings[-1].cells)
     assert example12_fixture.right.n == 325
     assert all(ring.n ** 2 > sring._SLAB_ENTRIES for ring in rings)
@@ -289,6 +298,147 @@ def test_structure_check_beyond_a_slab_skips_the_last_cell(monkeypatch):
     assert set(built) == {3}
 
 
+@pytest.fixture(scope="module")
+def control_ring():
+    """The example12 --equal ring over Z_3575, the negative control."""
+    return example12(Example12Params().negative_control()).ring
+
+
+def generator_of_order(n, order):
+    return next(u for u in unit_group(n) if multiplicative_order(n, u) == order)
+
+
+@pytest.fixture(scope="module")
+def multiplier_rings(example12_fixture, control_ring):
+    """Rings beyond a slab whose groups K of cell-fixing units range from
+    {1} to every unit: those of beyond_a_slab_rings, both Z_3575 rings
+    (|K| = 10 and 20), Cyc({+-1}, Z_2000), Cyc(<g>, Z_2003) for g of
+    order 1001 and 7, and rank2(3000) (K the 800 units of Z_3000)."""
+    rings = beyond_a_slab_rings(example12_fixture, random.Random(23))
+    rings += [example12_fixture.ring, control_ring, cyclotomic(2000, (-1,)), rank2(3000)]
+    rings += [cyclotomic(2003, (generator_of_order(2003, order),)) for order in (1001, 7)]
+    return rings
+
+
+def cell_maps(n, cells):
+    """cell[x], the index of x's cell, and least[x], its least point."""
+    cell, least = np.empty((2, n), dtype=np.int64)
+    for i, c in enumerate(cells):
+        cell[list(c)], least[list(c)] = i, min(c)
+    return cell, least
+
+
+def every_point_message(n, partition):
+    """The message of the structure-constant check of a ring beyond a slab
+    run over every z, or None if it passes; the other axioms must hold."""
+    ring = SRing(n, canonical_partition(partition))
+    failing = sring._first_failing_cell(ring, sring.rolled_cells(ring, np.int32),
+                                        sring._points(ring), np.arange(n))
+    if failing is None:
+        return None
+    with pytest.raises(DomainError) as exc:
+        sring._raise_first_failure(ring, failing)
+    return str(exc.value)
+
+
+def brute_force_multipliers(n, cells):
+    """K, every unit m with m * X = X for each cell X, tried one by one,
+    and the least point of each orbit K * x, as a minimum over K."""
+    cell, _ = cell_maps(n, cells)
+    points = np.arange(n)
+    group = [m for m in unit_group(n) if np.array_equal(cell[m * points % n], cell)]
+    rep = points.copy()
+    for m in group:
+        np.minimum(rep, m * points % n, out=rep)
+    return group, rep
+
+
+def screen_passing_partition():
+    """An inverse-closed partition of Z_399 whose cell of 1 is the group
+    <20, 113> (20^2 = 113^2 = 1 mod 399).  113 takes the least point of
+    every cell into its cell but moves {4, 80, -4, -80}, so K = {1, 20},
+    and 265 = 20 * 113 lies in the orbit of the failed 113."""
+    n, group = 399, (1, 20, 113, 265)
+    cell1 = {u % n for u in group}
+    cell2 = {2 * u % n for u in group} | {-2 * u % n for u in group} | {4, 80, n - 4, n - 80}
+    neg = {n - x for x in cell1}
+    return n, [[0], cell1, cell2, neg, set(range(1, n)) - cell1 - cell2 - neg]
+
+
+def test_structure_check_over_orbit_minima_matches_every_point(multiplier_rings):
+    # the check over one point per orbit of K gives the verdict and the
+    # message of the same check over every z; merging cells changes K
+    rng = random.Random(24)
+    partitions = [(ring.n, ring.cells) for ring in multiplier_rings]
+    partitions += [(ring.n, merged_cells(ring, rng, merges))
+                   for ring in multiplier_rings for merges in (1, 2, 3)]
+    partitions += [(1201, [[0], [x, 1201 - x], [y for y in range(1, 1201) if y not in (x, 1201 - x)]])
+                   for x in (1, 5, 200)]
+    partitions.append(screen_passing_partition())
+    invalid = 0
+    for n, cells in partitions:
+        expected = every_point_message(n, cells)
+        assert validate_message(n, cells) == expected, (n, cells)
+        invalid += expected is not None
+    assert invalid >= 60
+
+
+def test_cell_fixing_multipliers_match_brute_force(multiplier_rings):
+    rng = random.Random(25)
+    partitions = [(ring.n, merged_cells(ring, rng, merges))
+                  for ring in multiplier_rings for merges in (0, 1, 2, 3)]
+    partitions.append(screen_passing_partition())
+    orders = set()
+    for n, partition in partitions:
+        cells = canonical_partition(partition)
+        rep = sring._multiplier_orbit_minima(*cell_maps(n, cells))
+        group, expected = brute_force_multipliers(n, cells)
+        # the orbit of 1 is K itself
+        assert np.flatnonzero(rep == 1).tolist() == group, (n, cells)
+        assert np.array_equal(rep, expected), (n, cells)
+        orders.add(len(group))
+    assert {1, 2, 7, 10, 20, 800, 1001} <= orders
+    assert group == [1, 20]
+
+
+def test_join_powers_takes_the_minimum_over_every_power():
+    # rep joined with g, then with h, is the least point of each orbit of
+    # <g, h>, whatever the orders of g and h
+    rng = random.Random(26)
+    for n in rng.sample(range(257, 701), 6):
+        points = np.arange(n)
+        g, h = rng.sample(unit_group(n), 2)
+        rep = sring._join_powers(sring._join_powers(points, g * points % n), h * points % n)
+        group = multiplicative_closure(n, (g, h))
+        assert rep.tolist() == [min(k * x % n for k in group) for x in range(n)]
+
+
+def test_structure_check_beyond_a_slab_builds_rows_at_orbit_minima(
+        monkeypatch, example12_fixture, control_ring):
+    # the Z_3575 rings, with |K| = 10 and 20, build rows at 385 and 194
+    # points, not at the 1,831 of {0..n//2} and the negated least points
+    rolled_cells, seen = sring.rolled_cells, set()
+
+    class Spy:
+        """The window, recording the points z of each gather of rows."""
+
+        def __init__(self, window):
+            self.window, self.dtype = window, window.dtype
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple):
+                zs = key[1]
+                seen.update(range(zs.start, zs.stop) if isinstance(zs, slice)
+                            else np.ravel(zs).tolist())
+            return self.window[key]
+
+    monkeypatch.setattr(sring, "rolled_cells", lambda ring, dtype: Spy(rolled_cells(ring, dtype)))
+    for ring, points in ((example12_fixture.ring, 385), (control_ring, 194)):
+        seen.clear()
+        assert validate(ring.n, ring.cells) == ring
+        assert len(seen) == points
+
+
 def test_validate_batch_slab_edges():
     from circulant import sring
 
@@ -310,12 +460,15 @@ def test_validate_batch_slab_edges():
     assert batch_message(1201, [rank2(1201).cells, bad, [[0]]]) == expected
 
 
-def test_validate_memory_is_bounded(example12_fixture):
-    # no temporary grows with n or with cell size: a few MB at n in the thousands
+def test_validate_memory_is_bounded(example12_fixture, control_ring):
+    # no temporary grows with n, with cell size or with the group K of
+    # cell-fixing units (1001 of them for Cyc(<g>, Z_2003)): a few MB at n
+    # in the thousands
     partition = [[0], list(range(1, 3000))]
-    cells = example12_fixture.ring.cells
+    g = generator_of_order(2003, 1001)
     for build in (lambda: validate(3000, partition), lambda: cyclotomic(2000, (-1,)),
-                  lambda: validate(3575, cells)):
+                  lambda: validate(3575, example12_fixture.ring.cells),
+                  lambda: validate(3575, control_ring.cells), lambda: cyclotomic(2003, (g,))):
         tracemalloc.start()
         try:
             build()
