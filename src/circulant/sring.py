@@ -11,14 +11,16 @@ partition.  The structure constants are checked as sorted rows: the row
 x it must be the same at every point z as at the least point of z's
 cell, which compares every count c_XY at z at once.  A slab of whole
 rings is one sort of the rows [ring, z, x].  A ring too large for a slab
-is checked alone, a block of whole cells x at a time, with the same rows
-[z, x] sorted along x, and over one point per orbit of K, the units m
-with m * X = X for every cell X: the orbit minima up to n/2 and that of
-the negated least point of each cell.  The rows at z and m * z agree,
-and inverse closure gives the points above n/2 (the proof is in
+is checked alone, in one pass of whole rows listed cell by cell, a chunk
+of rows at a time.  Each sorted row is compared with the row before it
+when both lie in one cell.  The pass takes one point per orbit of K, the
+units m with m * X = X for every cell X: the orbit minima up to n/2 and
+that of the negated least point of each cell.  The rows at z and m * z
+agree, and inverse closure gives the points above n/2 (the proof is in
 _check_structure_constants).  For the Z_3575 ring of example12 that is
-385 points in place of 1,831.  Every temporary has a fixed size,
-whatever n or the cell sizes.
+385 points in place of 1,831.  A ring of rank 2 passes at once.  Every
+temporary has O(n) entries or those of one chunk, whatever the cell
+sizes.
 """
 
 from __future__ import annotations
@@ -141,9 +143,9 @@ def validate_batch(n: int, partitions) -> list[SRing]:
 
 
 # entries of the rows of a slab of whole rings (n * n each), and of each
-# chunk of rows of a ring too large for a slab (1 MB as int32)
+# chunk of rows of a ring too large for a slab (512 KB as int32)
 _SLAB_ENTRIES = 1 << 16
-_CHECK_ENTRIES = 1 << 18
+_CHECK_ENTRIES = 1 << 17
 
 
 def _axiom_error(n: int, cells) -> str | None:
@@ -198,21 +200,6 @@ def _differences(cell: np.ndarray) -> np.ndarray:
                       strides=(ring_step, step, -step))
 
 
-def _cell_blocks(ring: SRing):
-    """(lo, hi) runs of consecutive cells, all but the last, whose points
-    times n fit in _CHECK_ENTRIES; a cell too large for that is a run of
-    its own.  The last cell passes the structure-constant check whenever
-    the others do (see _check_structure_constants)."""
-    n, lo, stop = ring.n, 0, ring.rank - 1
-    while lo < stop:
-        hi, rows = lo + 1, len(ring.cells[lo])
-        while hi < stop and (rows + len(ring.cells[hi])) * n <= _CHECK_ENTRIES:
-            rows += len(ring.cells[hi])
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
 def _check_structure_constants(rings: list[SRing]) -> None:
     """For all cells X, Y the count of (x, y) in X x Y with x + y = z must
     be constant as z ranges over any one cell.
@@ -223,8 +210,8 @@ def _check_structure_constants(rings: list[SRing]) -> None:
     on z's cell.  Whole rings are stacked as rows [ring, z, x] and sorted
     in one call.
 
-    A ring whose n * n exceeds a slab is taken alone, with the rows [z, x]
-    for x in a block of whole cells (_first_failing_cell), and z only in
+    A ring whose n * n exceeds a slab is taken alone, in one chunked pass
+    of whole rows listed cell by cell (_failing_cell), with z only in
         H_K = {z <= n/2 : rep(z) = z} u {rep(-l(Z)) : Z a cell},
     l(Z) the least point of Z, K the group of units m with m * X = X for
     every cell X, and rep(z) the least point of the orbit K * z
@@ -243,17 +230,16 @@ def _check_structure_constants(rings: list[SRing]) -> None:
                   = inv(row(l(-Z), -X)) = row(-l(-Z), X),
     the row of rep(-l(-Z)), a point of Z in H_K.  So z has the row of the
     points of Z in H_K.  The check over H_K mixes X and -X, so when it
-    fails the same check runs again over every z, to find the least
-    failing X.  A rank-2 ring has only the rows of {0}, the cell of z at
-    every z, which K would not shorten, so K is sought above rank 2 only.
+    fails the same pass runs again over every z, to find the least
+    failing X.
 
-    Neither check builds the rows of the last cell W.  For any two points
-    z, z' of one cell at which the rows of every other cell agree, those
-    of W agree too: c_WY = c_YW for Y other than W, and
-    c_WW = |W| - sum of c_WY over those Y, since each w in W gives z - w
-    in exactly one cell.  So over H_K the rows of every cell agree, and
-    the argument above applies; and when a cell fails, one other than W
-    fails, so the least failing cell is never W.
+    The pass compares each row with the row before it in the same cell,
+    not with the cell's first row.  The first column at which some row
+    differs from its cell's first row is also the first column at which
+    two consecutive rows of that cell differ, so both comparisons name
+    the same least failing X.  A partition of rank 2 or less that passes
+    the other axioms is {0} and the rest, whose counts are constant, so
+    beyond a slab it passes at once.
 
     On failure the counts are recomputed for the least failing X, which
     is the first cell the pairwise check in order (X, Y) with X <= Y would
@@ -287,16 +273,52 @@ def _check_structure_constants(rings: list[SRing]) -> None:
     # a ring larger than a slab is the only ring of its batch, so at holds
     # its points cell by cell
     (ring,) = rings
+    if ring.rank <= 2:
+        return
     # H_K: the orbit minima up to n/2 and the orbit minimum of the negated
     # least point of every cell
-    rep = _multiplier_orbit_minima(cell[0], least[0]) if ring.rank > 2 else np.arange(n)
+    rep = _multiplier_orbit_minima(cell[0], least[0])
     half = np.arange(n // 2 + 1)
     in_h = np.zeros(n, dtype=bool)
     in_h[half] = rep[half] == half
     in_h[rep[(n - least[0]) % n]] = True
-    window = rolled_cells(ring, dtype)
-    if _first_failing_cell(ring, window, at, np.flatnonzero(in_h)) is not None:
-        _raise_first_failure(ring, _first_failing_cell(ring, window, at, np.arange(n)))
+    if _failing_cell(cell[0], ring.rank, at[in_h[at]]) is not None:
+        _raise_first_failure(ring, _failing_cell(cell[0], ring.rank, at))
+
+
+def _failing_cell(cell: np.ndarray, rank: int, zs: np.ndarray) -> int | None:
+    """The least cell X whose rows differ at two points of one cell in zs,
+    which lists points cell by cell; None if there is none.  cell[x] is
+    the cell of x, in the dtype of the rows.
+
+    Row z, column j holds the cell of z + j tagged by the cell of -j, the
+    row [z, x] of _check_structure_constants with its columns permuted
+    (x = -j), which sorting undoes.  The rows are gathered from one
+    forward-strided view of the doubled cell ids, a chunk of at most
+    _CHECK_ENTRIES entries (or two rows, for n above half that) at a time,
+    sorted, and each compared with the row before it when both lie in one
+    cell; each chunk begins with the last row of the chunk before.
+    """
+    n = len(cell)
+    doubled = np.concatenate([cell, cell])
+    window = np.lib.stride_tricks.as_strided(doubled, shape=(n, n), strides=doubled.strides * 2,
+                                             writeable=False)
+    tag = cell[-np.arange(n)] * rank
+    z_cell = cell[zs]
+    same = z_cell[1:] == z_cell[:-1]
+    # the columns at which two consecutive rows of one cell differ
+    differs = np.zeros(n, dtype=bool)
+    per = max(1, _CHECK_ENTRIES // n - 1)
+    for start in range(0, len(zs) - 1, per):
+        rows = window[zs[start:start + per + 1]]
+        rows += tag
+        rows.sort(axis=1)
+        differs |= ((rows[1:] != rows[:-1]) & same[start:start + per, None]).any(axis=0)
+        # one chunk at a time: free it before the next is gathered
+        del rows
+    # column c of every sorted row holds an entry tagged by the c-th least
+    # cell id of the columns (_least_failing_cell)
+    return int(np.sort(cell)[np.argmax(differs)]) if differs.any() else None
 
 
 def _multiplier_orbit_minima(cell: np.ndarray, least: np.ndarray) -> np.ndarray:
@@ -356,61 +378,6 @@ def _join_powers(rep: np.ndarray, image: np.ndarray) -> np.ndarray:
         if np.array_equal(joined, rep):
             return rep
         rep, image = joined, image[image]
-
-
-def _first_failing_cell(ring: SRing, window: np.ndarray, points: np.ndarray,
-                        zs: np.ndarray) -> int | None:
-    """The least cell X whose rows differ at two points of one cell in zs
-    (ascending); None if there is none.  points are the points of Z_n cell
-    by cell (_points).
-
-    For a block of whole cells with points xs, the rows [z, x] = cell of
-    z - x tagged by the cell of x, z in zs, are built a chunk of at most
-    _CHECK_ENTRIES entries at a time, window[n - xs, z0:z1] transposed,
-    and sorted along x, the contiguous axis.  Each row is compared with
-    the row at the first point of its cell in zs.  A chunk builds that row
-    again when an earlier chunk had it, so no row outlives its chunk.  The
-    last cell is not checked (_cell_blocks).
-    """
-    n, rank, cell = ring.n, ring.rank, window[0]
-    # zs[:run] is 0..run-1, whose rows are gathered by slicing
-    run = int(np.count_nonzero(zs == np.arange(len(zs))))
-    first = np.full(rank, n, dtype=np.int64)
-    np.minimum.at(first, cell[zs], zs)
-    index = np.empty(n, dtype=np.int64)
-    index[zs] = np.arange(len(zs))
-    # the index in zs of the reference row of each point of zs
-    at = index[first][cell[zs]]
-    end = 0
-    # a chunk's rows and the earlier rows it needs, in one buffer for all
-    # chunks (a cell has at most MAX_MODULUS < _CHECK_ENTRIES points)
-    buffer = np.empty(2 * _CHECK_ENTRIES, dtype=window.dtype)
-    for lo, hi in _cell_blocks(ring):
-        size = sum(len(c) for c in ring.cells[lo:hi])
-        xs, end = points[end:end + size], end + size
-        tag = cell[xs] * rank
-        step, failing = _CHECK_ENTRIES // size, None
-        for start in range(0, len(zs), step):
-            stop = min(start + step, len(zs))
-            refs = at[start:stop]
-            # the reference rows of earlier chunks, built after this chunk's
-            before = np.flatnonzero(np.bincount(refs[refs < start]))
-            ref = np.where(refs >= start, refs - start,
-                           stop - start + np.searchsorted(before, refs))
-            rows = buffer[:(stop - start + len(before)) * size].reshape(-1, size)
-            lead = max(0, min(stop, run) - start)
-            rows[:lead] = window[n - xs, start:start + lead].T
-            later = np.concatenate([zs[start + lead:stop], zs[before]])
-            rows[lead:] = window[np.ix_(n - xs, later)].T
-            rows += tag
-            rows.sort(axis=1)
-            mine, theirs = rows[:stop - start], rows[ref]
-            if not np.array_equal(mine, theirs):
-                x = _least_failing_cell(mine, theirs, rank)
-                failing = x if failing is None else min(failing, x)
-        if failing is not None:
-            return failing
-    return None
 
 
 def _least_failing_cell(rows: np.ndarray, ref: np.ndarray, rank: int) -> int:

@@ -198,8 +198,8 @@ def test_validate_batch_raises_for_the_first_bad_partition():
 
 
 def test_structure_check_matches_pairwise_oracle_on_large_rings():
-    # a cell of more than 2**18 / n points is checked a chunk of rows at a
-    # time, and a rank above 181 needs int32 entries
+    # a ring beyond a slab is checked a chunk of rows at a time, and a rank
+    # above 181 needs int32 entries
     cells = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
     expected = pairwise_check(200, cells)
     assert expected is not None
@@ -257,8 +257,7 @@ def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture
 
 def test_structure_check_beyond_a_slab_sees_every_chunk():
     # the counts of {200, 1001} + {200, 1001} differ only at z = 400 and
-    # -400 = 801: past n/4, and beyond the first chunk of rows of the
-    # large cell
+    # -400 = 801: past n/4, and beyond the first chunk of rows
     n = 1201
     cells = [[0], [200, 1001], [x for x in range(1, n) if x not in (200, 1001)]]
     expected = pairwise_check(n, cells)
@@ -266,36 +265,53 @@ def test_structure_check_beyond_a_slab_sees_every_chunk():
     assert validate_message(n, cells) == expected
 
 
-def test_structure_check_beyond_a_slab_skips_the_last_cell(monkeypatch):
-    # the last cell passes whenever every other cell does, so the rows of
-    # the 2,999-point cell of rank2(3000) are never built
-    from circulant import sring
+def test_structure_check_beyond_a_slab_compares_rows_across_chunks(
+        monkeypatch, example12_fixture):
+    # in chunks of three rows, or of two for n above 500, most cells
+    # straddle a chunk boundary, where a row is compared with the last row
+    # of the chunk before
+    monkeypatch.setattr(sring, "_CHECK_ENTRIES", 1000)
+    rng = random.Random(27)
+    invalid = 0
+    rings = beyond_a_slab_rings(example12_fixture, rng)
+    assert {2 * ring.n > 1000 for ring in rings} == {False, True}
+    for ring in rings:
+        for merges in (1, 2, 3):
+            cells = merged_cells(ring, rng, merges)
+            expected = pairwise_check(ring.n, cells)
+            assert validate_message(ring.n, cells) == expected, (ring.n, cells)
+            invalid += expected is not None
+    assert invalid >= 40
 
-    rolled_cells, built = sring.rolled_cells, []
 
-    class Spy:
-        """The window, recording how many rows each gather of rows reads."""
+def spy_on_passes(monkeypatch):
+    """The points zs of each pass of rows over a ring beyond a slab, in
+    the order the passes run."""
+    failing_cell, passes = sring._failing_cell, []
 
-        def __init__(self, window):
-            self.window, self.dtype = window, window.dtype
+    def spy(cell, rank, zs):
+        passes.append(zs.tolist())
+        return failing_cell(cell, rank, zs)
 
-        def __getitem__(self, key):
-            if isinstance(key, tuple):
-                built.append(np.size(key[0]))
-            return self.window[key]
+    monkeypatch.setattr(sring, "_failing_cell", spy)
+    return passes
 
-    monkeypatch.setattr(sring, "rolled_cells", lambda ring, dtype: Spy(rolled_cells(ring, dtype)))
+
+def test_structure_check_beyond_a_slab_returns_at_once_for_rank_two(monkeypatch):
+    # a partition of rank 2 that passes the other axioms is {0} and the
+    # rest, whose counts are constant, so rank2(3000) builds no rows
+    passes = spy_on_passes(monkeypatch)
     assert validate(3000, [[0], list(range(1, 3000))]) == rank2(3000)
-    assert set(built) == {1}
-    # a failure is still worded by the least failing cell and its first Y
-    built.clear()
+    assert passes == []
+    # a failure is still worded by the least failing cell and its first Y,
+    # found by a second pass over every point, cell by cell
     n = 1201
     cells = [[0], [1, n - 1], list(range(2, n - 1))]
     expected = pairwise_check(n, cells)
     assert expected is not None and "X=cell1" in expected
     assert validate_message(n, cells) == expected
-    # the rows of {0} and {1, -1}, one block, and none of the last cell
-    assert set(built) == {3}
+    assert len(passes) == 2
+    assert passes[1] == [0, 1, n - 1] + list(range(2, n - 1))
 
 
 @pytest.fixture(scope="module")
@@ -332,8 +348,8 @@ def every_point_message(n, partition):
     """The message of the structure-constant check of a ring beyond a slab
     run over every z, or None if it passes; the other axioms must hold."""
     ring = SRing(n, canonical_partition(partition))
-    failing = sring._first_failing_cell(ring, sring.rolled_cells(ring, np.int32),
-                                        sring._points(ring), np.arange(n))
+    cell, _ = cell_maps(n, ring.cells)
+    failing = sring._failing_cell(cell, ring.rank, np.concatenate(ring.cells))
     if failing is None:
         return None
     with pytest.raises(DomainError) as exc:
@@ -417,26 +433,12 @@ def test_structure_check_beyond_a_slab_builds_rows_at_orbit_minima(
         monkeypatch, example12_fixture, control_ring):
     # the Z_3575 rings, with |K| = 10 and 20, build rows at 385 and 194
     # points, not at the 1,831 of {0..n//2} and the negated least points
-    rolled_cells, seen = sring.rolled_cells, set()
-
-    class Spy:
-        """The window, recording the points z of each gather of rows."""
-
-        def __init__(self, window):
-            self.window, self.dtype = window, window.dtype
-
-        def __getitem__(self, key):
-            if isinstance(key, tuple):
-                zs = key[1]
-                seen.update(range(zs.start, zs.stop) if isinstance(zs, slice)
-                            else np.ravel(zs).tolist())
-            return self.window[key]
-
-    monkeypatch.setattr(sring, "rolled_cells", lambda ring, dtype: Spy(rolled_cells(ring, dtype)))
+    passes = spy_on_passes(monkeypatch)
     for ring, points in ((example12_fixture.ring, 385), (control_ring, 194)):
-        seen.clear()
+        passes.clear()
         assert validate(ring.n, ring.cells) == ring
-        assert len(seen) == points
+        (zs,) = passes
+        assert len(set(zs)) == len(zs) == points
 
 
 def test_validate_batch_slab_edges():
@@ -450,7 +452,7 @@ def test_validate_batch_slab_edges():
     assert validate_batch(200, [ring.cells for ring in good]) == good
     batch = [good[0].cells, good[2].cells, bad, good[1].cells]
     assert batch_message(200, batch) == pairwise_check(200, bad)
-    # a ring too large for a slab is checked alone, in blocks of cells
+    # a ring too large for a slab is checked alone, a chunk of rows at a time
     squares = sorted({x * x % 2017 for x in range(1, 2017)})
     cells = [[0], squares, sorted(set(range(1, 2017)) - set(squares))]
     assert validate_batch(2017, [cells, rank2(2017).cells]) == [validate(2017, cells), rank2(2017)]
@@ -475,7 +477,7 @@ def test_validate_memory_is_bounded(example12_fixture, control_ring):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
 
 def test_validate_canonicalizes():
