@@ -3,14 +3,15 @@
 Permutations are dense image tuples.  Composition is left-to-right:
 mult(p, q) applies p first, then q.  Groups carry a lazily built
 deterministic Schreier-Sims stabilizer chain that certifies the order and
-supports membership sifting; a base prefix can be prescribed, which is
-how the kernel on a block system is computed (the blocks must be
-invariant: every generator maps each block onto a block).  A chain known
-by construction is assembled from its levels instead
-(``translation_chain``, ``symmetric_chain``, ``holomorph``); its
-translation, transposition and multiplier levels, and the Schreier trees
-of other levels, make their representatives on demand rather than store
-them.
+supports membership sifting; a base prefix can be prescribed.  A group
+that permutes a system of blocks acts on the points and the block labels
+together, and one chain of that action with the labels first in its base
+(``block_chain``) gives the induced group on the blocks, its kernel and a
+preimage of each of its elements.  A chain known by construction is
+assembled from its levels instead (``translation_chain``,
+``symmetric_chain``, ``holomorph``); its translation, transposition and
+multiplier levels, and the Schreier trees of other levels, make their
+representatives on demand rather than store them.
 
 Every group compared by its orbits on ordered pairs contains the
 translations of Z_m, and the routines that compare them require it: a
@@ -49,7 +50,6 @@ from .zn import Section, is_unit, multiplicative_closure, unit_group
 Perm = tuple
 
 INTERSECT_ENUM_THRESHOLD = 10 ** 6
-INDUCED_TABLE_LIMIT = 10 ** 4
 # edge targets per block of the difference graph (512 KB as int64), so
 # that no temporary grows with the square of the degree; a block still
 # holds at least one row x for every generator
@@ -762,17 +762,18 @@ def induced_on_section(group: PermGroup, sec: Section) -> PermGroup:
                      chain=translation_chain(s, _levels(stabilizer)))
 
 
-def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
-    """The subgroup fixing every block setwise, for a partition into
-    blocks that the group permutes (its generators map each block onto a
-    block).
+def block_chain(group: PermGroup, blocks) -> tuple[StabChain, int]:
+    """The chain of the group acting on the m points and the nb blocks
+    together, block j as the point m + j, with the block labels as its base
+    prefix; returns it with nb.  The blocks must partition the points and
+    the group permute them (its generators map each block onto a block),
+    else DomainError.
 
-    The group then acts on the m points and the blocks together; a
-    stabilizer chain on that extended domain with the block labels as
-    base prefix yields the pointwise stabilizer of the labels, i.e. the
-    kernel.  Raises DomainError when a generator maps a block outside the
-    partition.
-    """
+    A chain of the action on a disjoint union (Seress, Permutation Group
+    Algorithms, 2003, ch. 5): its first nb levels are the induced group on
+    the blocks, whose order is the product of their transversal lengths,
+    and the generators of the levels below fix every label, so they
+    generate the kernel."""
     m = group.degree
     blocks = [frozenset(b) for b in blocks]
     covered: set[int] = set()
@@ -786,20 +787,38 @@ def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
     sets: list[frozenset] = list(dict.fromkeys(blocks))
     index = {b: i for i, b in enumerate(sets)}
     nb = len(sets)
-    ext_gens = []
+    chain = StabChain(m + nb, base=tuple(range(m, m + nb)))
     for g in group.generators:
         images = [index.get(frozenset(g[x] for x in b)) for b in sets]
         if None in images:
             raise DomainError("blocks are not invariant: a generator maps a block "
                               "outside the partition")
-        ext_gens.append(tuple(g) + tuple(m + j for j in images))
+        chain.insert(tuple(g) + tuple(m + j for j in images))
+    return chain, nb
 
-    chain = StabChain(m + nb, base=tuple(range(m, m + nb)))
-    for g in ext_gens:
-        chain.insert(g)
-    kernel_gens = [g[:m] for g in chain.strong_generators()
-                   if all(g[m + j] == m + j for j in range(nb))]
-    return PermGroup(m, kernel_gens)
+
+def block_preimage(chain: StabChain, sigma: Perm) -> Perm | None:
+    """An element of the group of a block_chain that maps block j to block
+    sigma[j] for every j, or None when the group has none.
+
+    x, the identity on the points and sigma on the labels, sifts to a
+    residue r = x g^-1 for some g in the group.  sigma is in the induced
+    group exactly when r fixes every label; g then acts as sigma on the
+    labels and as r^-1 on the points."""
+    m = chain.degree - len(sigma)
+    residue, _ = chain.strip(identity(m) + tuple(m + j for j in sigma))
+    if residue[m:] != tuple(range(m, chain.degree)):
+        return None
+    return inverse(residue[:m])
+
+
+def kernel_on_blocks(group: PermGroup, blocks) -> PermGroup:
+    """The subgroup fixing every block setwise, for a partition into
+    blocks that the group permutes: the generators below the labels of
+    its block_chain, read on the points.  Raises DomainError as
+    block_chain does."""
+    chain, nb = block_chain(group, blocks)
+    return PermGroup(group.degree, [g[:group.degree] for g in chain.level_generators(nb)])
 
 
 def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
@@ -830,37 +849,3 @@ def intersect(g1: PermGroup, g2: PermGroup) -> PermGroup:
         if big.chain.contains(el) and result.insert(el):
             gens.append(el)
     return PermGroup(m, gens, chain=translation_chain(m, _levels(result)))
-
-
-def induced_action_table(group: PermGroup, sec: Section, wanted) -> dict[Perm, Perm]:
-    """Map elements of the induced section action to one preimage each, by
-    breadth-first search over products of the stabilizer generators, until
-    every action in ``wanted`` is in the table (or the search ends); a
-    Schreier generator is built in full only for the first (g, j) of each
-    new action.  The search order does not depend on ``wanted``, so every
-    entry is the one the search over the whole image would give."""
-    _check_section(group, sec)
-    n, s = sec.n, sec.order
-    pairs: dict[Perm, Perm] = {}
-    for g in group.generators:
-        for j in range(n // sec.u):
-            k, sigma = section_action(g, j, sec)
-            if sigma not in pairs:
-                pairs[sigma] = mult(mult(translation(n, j), g), translation(n, -k))
-
-    table: dict[Perm, Perm] = {identity(s): identity(group.degree)}
-    missing = set(wanted) - table.keys()
-    frontier = [(identity(s), identity(group.degree))]
-    while frontier and missing:
-        sigma, elem = frontier.pop(0)
-        for hs, h in pairs.items():
-            new_sigma = mult(sigma, hs)
-            if new_sigma not in table:
-                if len(table) >= INDUCED_TABLE_LIMIT:
-                    raise BudgetError(
-                        f"induced image exceeds table limit {INDUCED_TABLE_LIMIT}")
-                new_elem = mult(elem, h)
-                table[new_sigma] = new_elem
-                frontier.append((new_sigma, new_elem))
-                missing.discard(new_sigma)
-    return table

@@ -3,7 +3,7 @@
 The color of (g, h) in the scheme is the index of the basic set
 containing h - g.  Row g of that n x n table is the ring's cell-id row
 rolled by g, so the search reads rows from one view of 2n cell ids
-(``sring.rolled_cells``) and never builds the table: refinement makes its
+(``rolled_cells``) and never builds the table: refinement makes its
 keys, and the color check of a map its rows, a block of at most
 ``_BLOCK_ENTRIES`` entries at a time.  An affine map x -> a * x + c, such
 as a translation or a multiplier, gets an exact O(n) check instead: it
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from .perm import (
     translation_chain,
     two_equivalent,
 )
-from .sring import SRing, _points, rolled_cells, s_condition_holds, section_ring, subgroup_lattice
+from .sring import SRing, s_condition_holds, section_ring, subgroup_lattice
 from .zn import Section
 
 DEFAULT_AUT_MAX_N = 5000
@@ -76,6 +76,24 @@ DEFAULT_NODE_BUDGET = 500_000
 # entries in one block of rows of the search's key and color temporaries,
 # so that none grows with the square of n
 _BLOCK_ENTRIES = 1 << 18
+
+
+def _points(ring: SRing) -> np.ndarray:
+    """The points of Z_n cell by cell, in canonical order."""
+    return np.fromiter(chain.from_iterable(ring.cells), dtype=np.int64, count=ring.n)
+
+
+def rolled_cells(ring: SRing, dtype) -> np.ndarray:
+    """Read-only view with row k, 0 <= k <= n, equal to cell_of rolled left
+    by k: rolled[k][z] is the index of the basic set containing z + k."""
+    n = ring.n
+    cell_of = np.empty(2 * n, dtype=dtype)
+    cell_of[_points(ring)] = np.repeat(np.arange(ring.rank, dtype=dtype),
+                                       [len(cell) for cell in ring.cells])
+    cell_of[n:] = cell_of[:n]
+    step = cell_of.strides[0]
+    return np.lib.stride_tricks.as_strided(cell_of, shape=(n + 1, n), strides=(step, step),
+                                           writeable=False)
 
 
 def color_matrix(ring: SRing) -> np.ndarray:

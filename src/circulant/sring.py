@@ -172,24 +172,6 @@ def _axiom_error(n: int, cells) -> str | None:
     return None
 
 
-def _points(ring: SRing) -> np.ndarray:
-    """The points of Z_n cell by cell, in canonical order."""
-    return np.fromiter(chain.from_iterable(ring.cells), dtype=np.int64, count=ring.n)
-
-
-def rolled_cells(ring: SRing, dtype) -> np.ndarray:
-    """Read-only view with row k, 0 <= k <= n, equal to cell_of rolled left
-    by k: rolled[k][z] is the index of the basic set containing z + k."""
-    n = ring.n
-    cell_of = np.empty(2 * n, dtype=dtype)
-    cell_of[_points(ring)] = np.repeat(np.arange(ring.rank, dtype=dtype),
-                                       [len(cell) for cell in ring.cells])
-    cell_of[n:] = cell_of[:n]
-    step = cell_of.strides[0]
-    return np.lib.stride_tricks.as_strided(cell_of, shape=(n + 1, n), strides=(step, step),
-                                           writeable=False)
-
-
 def _differences(cell: np.ndarray) -> np.ndarray:
     """A view of shape (k, n, n) of the (k, n) maps cell, with
     [r, z, x] = cell[r, z - x mod n]."""

@@ -7,19 +7,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import BudgetError, DomainError
 from .perm import (
     Perm,
     PermGroup,
-    groups_equal,
+    block_chain,
+    block_preimage,
     holomorph,
-    induced_action_table,
     induced_on_section,
     join_generators,
-    kernel_on_blocks,
     section_action,
+    translation,
     two_equivalent,
 )
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, aut_group
@@ -252,6 +252,13 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
     The result projects onto d_0 mod L, restricts to d_u on U, and has
     order |d_0| * |kernel|^{n/u} where kernel is the subgroup of d_u fixing
     every L-coset setwise.
+
+    Everything about d_u is read from one block_chain of its action on
+    Z_u and the L-cosets y = c mod u/l: whether it holds x -> x+1, the
+    order of its induced group on S, membership of d_0's induced
+    generators in it (with equal orders, the two groups are then equal),
+    the kernel, and a preimage of each block action of d_0 that a lift
+    needs.
     """
     n, u, l = sec.n, sec.u, sec.l
     if d_u.degree != u:
@@ -260,23 +267,20 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
         raise DomainError(f"bottom factor must act on Z_{n // l}, got degree {d_0.degree}")
     s = u // l
     nu = n // u
-    top, bottom = Section(u, u, l), Section(n // l, u // l, 1)
-    ind_u = induced_on_section(d_u, top)
+    bottom = Section(n // l, u // l, 1)
+    chain, nb = block_chain(d_u, [range(c, u, s) for c in range(s)])
+    if not chain.contains(translation(u, 1) + tuple(u + (c + 1) % s for c in range(s))):
+        raise DomainError("the group does not contain x -> x+1")
     ind_0 = induced_on_section(d_0, bottom)
-    if not groups_equal(ind_u, ind_0):
+    order_u = prod(len(t) for t in chain.transversals[:nb])
+    if order_u != ind_0.order() or any(block_preimage(chain, g) is None
+                                       for g in ind_0.generators):
         raise DomainError(
-            "induced section actions differ: orders "
-            f"{ind_u.order()} vs {ind_0.order()}")
-
-    # each lift reads the block actions of one generator of d_0; the table
-    # needs preimages of those actions only
-    actions = [[section_action(g0, j, bottom) for j in range(nu)] for g0 in d_0.generators]
-    table = induced_action_table(d_u, top, {sigma for row in actions for _, sigma in row})
+            f"induced section actions differ: orders {order_u} vs {ind_0.order()}")
     gens: list[Perm] = []
 
     # kernel part: the L-coset kernel of d_u, copied onto every U-coset
-    kernel = kernel_on_blocks(d_u, [[y for y in range(u) if y % s == c] for c in range(s)])
-    for k in kernel.generators:
+    for k in chain.level_generators(nb):
         for j in range(nu):
             img = list(range(n))
             for y in range(u):
@@ -284,13 +288,13 @@ def canonical_gwp(d_u: PermGroup, d_0: PermGroup, sec: Section) -> PermGroup:
             gens.append(tuple(img))
 
     # lifts: one permutation per generator of d_0, acting blockwise through
-    # translation identifications of each U-coset with U
-    for row in actions:
+    # translation identifications of each U-coset with U; its block action
+    # on coset j is in d_0's induced group, so it has a preimage in d_u
+    for g0 in d_0.generators:
         img = [0] * n
-        for j, (jp, sigma) in enumerate(row):
-            d = table.get(sigma)
-            if d is None:
-                raise DomainError("lifting failure: block action not in the top factor")
+        for j in range(nu):
+            jp, sigma = section_action(g0, j, bottom)
+            d = block_preimage(chain, sigma)
             for y in range(u):
                 img[j + nu * y] = jp + nu * d[y]
         gens.append(tuple(img))

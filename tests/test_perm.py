@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -27,11 +28,12 @@ from circulant.perm import (
     PermGroup,
     StabChain,
     _has_translation_chain,
+    block_chain,
+    block_preimage,
     check_perm,
     difference_classes,
     groups_equal,
     identity,
-    induced_action_table,
     inverse,
     is_identity,
     join_generators,
@@ -438,8 +440,8 @@ def test_section_actions_match_the_degree_n_route():
     # every section of the ring: a group with a translation chain (every
     # Aut) induces the oracle's group, by order, membership both ways and
     # difference classes; any other (a joined resolve group) the oracle's
-    # exact generator tuples, in order.  Action tables up to s = 6;
-    # canonical products of the Aut groups of the rings on U and on G/L
+    # exact generator tuples, in order.  Canonical products of the Aut
+    # groups of the rings on U and on G/L against the oracle's
     products = 0
     for n in range(2, 25):
         for ring in enumerate_srings(n):
@@ -453,10 +455,6 @@ def test_section_actions_match_the_degree_n_route():
                         assert difference_classes(induced) == difference_classes(want)
                     else:
                         assert induced.generators == want.generators
-                    if sec.order <= 6:
-                        oracle = oracle_action_table(group, sec)
-                        table = induced_action_table(group, sec, oracle.keys())
-                        assert list(table.items()) == list(oracle.items())
             for sec in sections:
                 if not 1 < sec.l <= sec.u < n:
                     continue
@@ -470,8 +468,50 @@ def test_section_actions_match_the_degree_n_route():
                     assert not groups_equal(oracle_induced(d_u, top), oracle_induced(d_0, bottom))
                     continue
                 products += 1
-                assert product.generators == oracle_canonical_gwp(d_u, d_0, sec).generators
+                assert_same_product(product, oracle_canonical_gwp(d_u, d_0, sec), d_u, sec)
     assert products > 100
+
+
+def assert_same_product(product, oracle, d_u, sec):
+    """The two canonical products hold the same kernel copies, as tuples
+    in order, and then one lift per generator of d_0.  Each lift maps the
+    U-cosets as the oracle's does and differs from it on each coset by an
+    element of the kernel, so the two groups are equal."""
+    n, u = sec.n, sec.u
+    s, nu = u // sec.l, n // u
+    kernel = kernel_on_blocks(d_u, [range(c, u, s) for c in range(s)])
+    copies = len(kernel.generators) * nu
+    assert len(product.generators) == len(oracle.generators)
+    assert product.generators[:copies] == oracle.generators[:copies]
+    for lift, want in zip(product.generators[copies:], oracle.generators[copies:]):
+        for j in range(nu):
+            assert lift[j] % nu == want[j] % nu
+            d, e = (tuple(g[j + nu * y] // nu for y in range(u)) for g in (lift, want))
+            assert kernel.contains(mult(d, inverse(e)))
+
+
+def test_block_preimages_of_catalog_groups():
+    # over every catalog Aut group with n <= 24 and every A-subgroup L of
+    # index s <= 6: each action on the L-cosets in the oracle's table has a
+    # preimage in the group that acts so, and for s <= 5 every other
+    # permutation of Z_s has none
+    for n in range(2, 25):
+        for ring in enumerate_srings(n):
+            aut = aut_group(ring)
+            for l in subgroup_lattice(ring):
+                s = n // l
+                if s > 6:
+                    continue
+                chain, _ = block_chain(aut, [range(c, n, s) for c in range(s)])
+                table = oracle_action_table(aut, Section(n, n, l))
+                for sigma in table:
+                    g = block_preimage(chain, sigma)
+                    assert aut.contains(g)
+                    assert tuple(g[c] % s for c in range(s)) == sigma
+                if s <= 5:
+                    for sigma in itertools.permutations(range(s)):
+                        if sigma not in table:
+                            assert block_preimage(chain, sigma) is None
 
 
 def test_induced_on_section_reads_only_the_points_of_u():

@@ -48,8 +48,9 @@ from circulant.scheme import (
     _StabilizerSearch,
     _aut_group_cached,
     color_matrix,
+    rolled_cells,
 )
-from circulant.sring import SRing, rolled_cells
+from circulant.sring import SRing
 from circulant.structure import canonical_gwp
 
 # sha256 prefix of [n, nodes visited, generators found by level] over every

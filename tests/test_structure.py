@@ -321,27 +321,35 @@ def test_canonical_gwp_projection_restriction_order():
         assert g.order() == d0.order() * kernel.order() ** (sec.n // sec.u)
 
 
-def test_canonical_gwp_tables_only_the_lifted_actions():
-    # Aut(A_U) induces Sym(8) on U/L, more elements than the action table
-    # may hold; the lifts need preimages of d_0's block actions only
+def test_canonical_gwp_lifts_through_a_large_induced_group():
+    # Aut(A_U) induces Sym(n/4) on U/L, 8!, 9! and 10! elements; each lift
+    # is one sift through the block chain of Aut(A_U)
     from circulant import validate
-    from circulant.perm import INDUCED_TABLE_LIMIT
 
-    ring = validate(32, [[0], range(1, 32, 2), [x for x in range(2, 32, 2) if x != 16], [16]])
-    sec = Section(32, 16, 2)
-    du = aut_group(section_ring(ring, Section(32, 16, 1)))
-    d0 = aut_group(section_ring(ring, Section(32, 32, 2)))
-    assert induced_on_section(du, Section(16, 16, 2)).order() == math.factorial(8)
-    assert math.factorial(8) > INDUCED_TABLE_LIMIT
-    g = canonical_gwp(du, d0, sec)
-    kernel = kernel_on_blocks(du, [[y for y in range(16) if y % 8 == c] for c in range(8)])
-    assert g.order() == d0.order() * kernel.order() ** 2 == 213_084_064_972_800
+    orders = {32: 213_084_064_972_800, 36: 69_039_237_051_187_200,
+              40: 27_615_694_820_474_880_000}
+    for n, order in orders.items():
+        u, s = n // 2, n // 4
+        ring = validate(n, [[0], range(1, n, 2), [x for x in range(2, n, 2) if x != u], [u]])
+        sec = Section(n, u, 2)
+        du = aut_group(section_ring(ring, Section(n, u, 1)))
+        d0 = aut_group(section_ring(ring, Section(n, n, 2)))
+        assert induced_on_section(du, Section(u, u, 2)).order() == math.factorial(s)
+        g = canonical_gwp(du, d0, sec)
+        assert groups_equal(induced_on_section(g, Section(n, n, 2)), d0)
+        assert groups_equal(induced_on_section(g, Section(n, u, 1)), du)
+        kernel = kernel_on_blocks(du, [range(c, u, s) for c in range(s)])
+        assert g.order() == d0.order() * kernel.order() ** 2 == order
 
 
 def test_canonical_gwp_mismatch_errors():
     # translations of Z_9 induce Z_3 on S; Hol(Z_6) induces Sym(3)
     with pytest.raises(DomainError, match="induced section actions differ"):
         canonical_gwp(translations(9), holomorph(6), Section(18, 9, 3))
+    # x -> -x permutes the cosets of {0, 3} in Z_6 but is no translation
+    flip = PermGroup(6, [tuple(-x % 6 for x in range(6))])
+    with pytest.raises(DomainError, match="x -> x\\+1"):
+        canonical_gwp(flip, holomorph(6), Section(12, 6, 2))
 
 
 def test_resolve_fixture(z9_fixture):

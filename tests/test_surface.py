@@ -24,6 +24,8 @@ LIBRARY = ROOT / "src" / "circulant"
 KEPT = {
     "color_matrix": "the colour-table oracle of the automorphism search tests",
     "canonical_gwp": "the paper's generalized wreath product of permutation groups",
+    "groups_equal": "exact equality of two permutation groups, how the tests compare groups",
+    "kernel_on_blocks": "public kernel of a block action, read from the chain canonical_gwp builds",
     "sections": "ProjClass.sections, the members of a class, read by acceptance criteria 4 and 6",
     "symmetric": "public constructor of Sym(n) with its chain built by construction",
     "wreath": "public constructor of the paper's wreath product of S-rings",
