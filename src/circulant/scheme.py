@@ -27,23 +27,33 @@ of the color table: each cell splits by the color to v, ordered as the
 sorted key rows would order it (keys are little-endian on every host,
 and a carry out of a key's low byte reverses some colors), and when
 no cell splits the partition is equitable as it is.  Only the passes
-after a split sort key rows.  The search fixes a base on its first
-path, then searches its levels deepest first in one loop, so the
-automorphisms found at levels >= L generate the pointwise stabilizer of
-the first L base points: they are a strong generating set, and each
-level's transversal is the Schreier tree of one orbit computation, which
-makes a representative when it is looked up.  A union-find over
-Z_n, whose roots are least points, merges each automorphism as it is
-found; since every deeper level is finished before a level's candidates
-are tried, its classes are the orbits that prune those candidates.  The
-descent below a candidate keeps an explicit stack, not one call per
-level, so the call depth stays flat on a base of length about n.  Off
-the first path, each node first tests the map that aligns the first
-path's partition at its level with its own, position by position in
-their points; refinement keeps cells ascending and splits them in place,
-so when that map is an automorphism it is the leaf the descent would
-reach first, and the node is not descended below.  Since the translations
-are always automorphisms and act regularly, the full group's stabilizer
+after a split sort key rows, and each reads the columns of its splitters
+alone: the new cells of every cell the pass before it split, but one
+largest of each, as in the equitable refinement of McKay and Piperno
+(2014) and in Paige and Tarjan's "process all but the largest" (1987).
+Two points of one cell have equal counts to every cell that pass left
+whole, and so to the largest new cell of one it split, so their short
+rows over the splitter columns differ exactly when their full rows do;
+only the cells that split get full rows, which order their new cells.
+Below n = _SPLITTER_MIN_N, where every full row is short, the pass after
+the first makes them all.  The search fixes a base on its first path, then
+searches its levels deepest first in one loop, so the automorphisms
+found at levels >= L generate the pointwise stabilizer of the first L
+base points: they are a strong generating set, and each level's
+transversal is the Schreier tree of one orbit computation, which makes a
+representative when it is looked up.  A union-find over the points of
+the target cells, whose roots are least points, merges each automorphism
+as it is found, over the target cells it maps onto themselves; since
+every deeper level is finished before a level's candidates are tried,
+its classes are the orbits that prune those candidates.  The descent
+below a candidate keeps an explicit stack, not one call per level, so
+the call depth stays flat on a base of length about n.  Off the first
+path, each node first tests the map that aligns the first path's
+partition at its level with its own, position by position in their
+points; refinement keeps cells ascending and splits them in place, so
+when that map is an automorphism it is the leaf the descent would reach
+first, and the node is not descended below.  Since the translations are
+always automorphisms and act regularly, the full group's stabilizer
 chain is that of the stabilizer of 0 below an implicit translation
 level, with no Schreier-Sims run; a ring of rank <= 2 gets the implicit
 chain of Sym(n).
@@ -76,6 +86,10 @@ DEFAULT_NODE_BUDGET = 500_000
 # entries in one block of rows of the search's key and color temporaries,
 # so that none grows with the square of n
 _BLOCK_ENTRIES = 1 << 18
+# below this n, `_split_by_point` leaves the splitters of the pass after it
+# unfound, and that pass makes every full key row: over the catalogs, a
+# search that finds them is 5% slower at n = 64 and 5% faster at n = 72
+_SPLITTER_MIN_N = 72
 
 
 def _points(ring: SRing) -> np.ndarray:
@@ -83,13 +97,16 @@ def _points(ring: SRing) -> np.ndarray:
     return np.fromiter(chain.from_iterable(ring.cells), dtype=np.int64, count=ring.n)
 
 
-def rolled_cells(ring: SRing, dtype) -> np.ndarray:
+def rolled_cells(ring: SRing, dtype, points: np.ndarray | None = None) -> np.ndarray:
     """Read-only view with row k, 0 <= k <= n, equal to cell_of rolled left
-    by k: rolled[k][z] is the index of the basic set containing z + k."""
+    by k: rolled[k][z] is the index of the basic set containing z + k.
+    points, when given, is `_points(ring)`."""
     n = ring.n
     cell_of = np.empty(2 * n, dtype=dtype)
-    cell_of[_points(ring)] = np.repeat(np.arange(ring.rank, dtype=dtype),
-                                       [len(cell) for cell in ring.cells])
+    if points is None:
+        points = _points(ring)
+    cell_of[points] = np.repeat(np.arange(ring.rank, dtype=dtype),
+                                [len(cell) for cell in ring.cells])
     cell_of[n:] = cell_of[:n]
     step = cell_of.strides[0]
     return np.lib.stride_tricks.as_strided(cell_of, shape=(n + 1, n), strides=(step, step),
@@ -148,6 +165,61 @@ def _preserves_colors(rolled: np.ndarray, f) -> bool:
     return True
 
 
+def _splitters(points: np.ndarray, bounds: np.ndarray, old_bounds: np.ndarray,
+               old: np.ndarray) -> np.ndarray:
+    """The splitter points of a partition that a pass made, given as its
+    points and its cut positions bounds, whose cell i lies in cell old[i]
+    of the partition before the pass, of cut positions old_bounds: the
+    points of every new cell of an old cell that split, except those of
+    its largest new cell (the first, on a tie)."""
+    sizes = bounds[1:] - bounds[:-1]
+    # each old cell's new cells, largest first
+    order = (old * (bounds[-1] + 1) - sizes).argsort(kind="stable")
+    splitter = np.ones(len(sizes), dtype=bool)
+    # an old cell starts where its first new cell does
+    splitter[order[np.searchsorted(bounds, old_bounds[:-1])]] = False
+    return points[splitter.repeat(sizes)]
+
+
+class _TargetOrbits:
+    """Union-find over the points of the search's target cells, whose
+    classes are their orbits under the automorphisms merged; each root is
+    its class's least point.
+
+    An automorphism found at level k fixes base[:k], so it maps the target
+    cell of every level L <= k onto itself, and those cells hold every
+    candidate tested after it is found: it is merged over their points
+    alone, not over Z_n.  No class then leaves a cell: a point outside a
+    cell that an automorphism maps into it would make it map the cell
+    onto more than itself."""
+
+    def __init__(self, cells: list[list[int]]):
+        self.parent: dict[int, int] = {}
+        # fresh[k]: the points of the target cell of level k that no cell
+        # above it holds
+        self.fresh = []
+        for cell in cells:
+            fresh = [x for x in cell if x not in self.parent]
+            self.parent.update(zip(fresh, fresh))
+            self.fresh.append(fresh)
+
+    def root(self, x: int) -> int:
+        """The least point of x's class, halving the path to it."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def merge(self, f: tuple, k: int) -> None:
+        """Join the classes of x and f(x) for every x of the target cells
+        of levels <= k, f an automorphism found at level k."""
+        for x in chain.from_iterable(self.fresh[:k + 1]):
+            y = f[x]
+            if x != y:
+                rx, ry = self.root(x), self.root(y)
+                self.parent[max(rx, ry)] = min(rx, ry)
+
+
 class _StabilizerSearch:
     """Backtracking search for the full group of color-preserving
     permutations fixing 0 (equivalently, preserving every basic set).
@@ -160,8 +232,9 @@ class _StabilizerSearch:
 
     def __init__(self, ring: SRing, node_budget: int):
         self.n = ring.n
+        points = _points(ring)
         # row g of the color table is rolled[n - g], a view of 2n entries
-        self.rolled = rolled_cells(ring, np.uint16)
+        self.rolled = rolled_cells(ring, np.uint16, points)
         # per key dtype: the cell ids twice over, and a buffer for them
         # times the number of cells with its window view
         self._key_windows: dict = {}
@@ -170,7 +243,7 @@ class _StabilizerSearch:
         self.ncolors = ring.rank
         # p_seq[L]: the first path's partition at level L; the basic sets
         # are equitable, so refinement would return them as they are
-        self.p_seq = [(_points(ring), (0, *accumulate(len(cell) for cell in ring.cells)))]
+        self.p_seq = [(points, (0, *accumulate(len(cell) for cell in ring.cells)))]
         self.base: list[int] = []
         self.target_cells: list[int] = []
         while True:
@@ -184,15 +257,15 @@ class _StabilizerSearch:
             self.p_seq.append(self._refine(self._individualize(part, ci, b), ci))
         # found[L]: automorphisms found at level L (fixing base[:L])
         self.found: list[list[tuple]] = [[] for _ in self.base]
-        # union-find over Z_n of the orbits of everything found; roots are
-        # least points
-        self.parent = list(range(self.n))
 
     @staticmethod
     def _target_cell(part) -> int | None:
         """Smallest non-singleton cell, ties by least vertex (cells are
-        ascending, so a cell's least vertex is its first)."""
+        ascending, so a cell's least vertex is its first); None when the
+        partition is discrete."""
         points, cuts = part
+        if len(cuts) - 1 == len(points):
+            return None
         best = min(((b - a, points.item(a), i) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
                     if b - a > 1), default=None)
         return None if best is None else best[2]
@@ -211,12 +284,12 @@ class _StabilizerSearch:
     def _key_dtype(self, C: int) -> np.dtype:
         """The narrowest little-endian unsigned dtype of at least 16 bits
         holding every key color * C + cell, up to ncolors * C - 1."""
-        dt = np.promote_types(np.uint16, np.min_scalar_type(self.ncolors * C - 1))
-        return dt.newbyteorder("<")
+        return np.dtype("<u2" if self.ncolors * C <= 1 << 16 else "<u4")
 
-    def _key_window(self, C: int) -> np.ndarray:
-        """A view whose row n - v is the colors of row v of the color
-        table times C, in the `_key_dtype` of C."""
+    def _key_window(self, C: int) -> tuple[np.ndarray, np.ndarray]:
+        """The colors of the color table times C, in the `_key_dtype` of
+        C: the cell ids twice over times C as buf, and the view of buf
+        whose row n - v is row v of the table, buf[n - v:2n - v]."""
         dt = self._key_dtype(C)
         if dt not in self._key_windows:
             ids = np.tile(self.rolled[0].astype(dt), 2)
@@ -224,7 +297,7 @@ class _StabilizerSearch:
             self._key_windows[dt] = ids, buf, np.lib.stride_tricks.sliding_window_view(buf, self.n)
         ids, buf, window = self._key_windows[dt]
         np.multiply(ids, C, out=buf)
-        return window
+        return buf, window
 
     def _sorted_keys(self, points, cell_id, window):
         """The bytes of each point's sorted key row, made a block of
@@ -242,8 +315,11 @@ class _StabilizerSearch:
     def _split_by_point(self, part, ci: int):
         """The first refinement pass of the partition made by
         individualizing v, the only point of cell ci, in an equitable
-        partition, split by one column of the color table: the partition
-        as it is when no cell splits.
+        partition, split by one column of the color table, and the
+        splitters of the pass after it: the partition as it is and no
+        splitters when no cell splits, else the `_splitters` of the new
+        cells, or None (every point) when n < _SPLITTER_MIN_N or the new
+        partition is discrete and no pass follows.
 
         The rest of v's old cell is cell ci + 1.  That cell was a cell of
         an equitable partition, so every x in a cell X has the same key
@@ -262,57 +338,114 @@ class _StabilizerSearch:
         ranks = [2 * R - 1 - a if (a * C + ci) & 0xFF == 0xFF else a for a in range(R)]
         # color(x, v) = cell_of[v - x] = rolled[v + 1][n - 1 - x]
         colors = self.rolled[points.item(cuts[ci]) + 1][::-1][points]
-        key = np.arange(0, 2 * R * C, 2 * R).repeat([b - a for a, b in zip(cuts, cuts[1:])])
+        old_bounds = np.fromiter(cuts, dtype=np.int64, count=C + 1)
+        key = np.arange(0, 2 * R * C, 2 * R).repeat(old_bounds[1:] - old_bounds[:-1])
         key += np.array(ranks)[colors]
         order = key.argsort(kind="stable")
         key = key[order]
-        starts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
+        starts = (key[1:] != key[:-1]).nonzero()[0] + 1
         if len(starts) + 1 == C:
-            return part
-        return points[order], (0, *starts, self.n)
+            return part, points[:0]
+        points, new_cuts = points[order], (0, *starts.tolist(), self.n)
+        if self.n < _SPLITTER_MIN_N or len(new_cuts) - 1 == self.n:
+            return (points, new_cuts), None
+        bounds = np.concatenate(([0], starts, [self.n]))
+        # key // 2R is the old cell of a point
+        return (points, new_cuts), _splitters(points, bounds, old_bounds, key[bounds[:-1]] // (2 * R))
 
-    def _row_pass(self, part):
+    def _row_pass(self, part, splitters):
         """One refinement pass against the edge-color table, stable under
-        color-automorphisms cell-index-wise: the partition as it is when
-        no cell splits.
+        color-automorphisms cell-index-wise, of a partition that the pass
+        before made with the splitters given (None: every point): the new
+        partition and its splitters, the new cells of each cell that split
+        but its largest (the first, on a tie), or the partition as it is
+        and no splitters when no cell splits.
 
         The signature of a vertex v is the multiset of (edge color to u,
         cell of u) over all u, realized as the sorted row of combined
         keys color * C + cell; cells split into the order of the
-        signatures' bytes.  The keys are built in the `_key_dtype` of C:
-        uint16 while ncolors * C <= 2**16, else uint32 (ncolors * C <=
-        n**2 < 2**32 for n < 2**16).  Every key is non-negative and fits,
-        so a wider little-endian dtype would only append zero bytes, equal
-        in every key, to each entry: the byte order of two rows, and so
-        the order of the new cells, is the same at any width.  The rows
-        are made a block of points at a time from the `_key_window` of C,
-        with no color table, and bucketed cell by cell; a cell larger
-        than a block fills its buckets over several blocks.
+        signatures' bytes.  Two points of one cell had one signature in
+        the partition before the last pass, so they have the same count of
+        each color to every cell that pass left whole, and to the largest
+        new cell of each cell it split, which is that cell's count less
+        those of its other new cells.  So their signatures differ exactly
+        when their short rows do, the sorted keys over the splitter points
+        alone, and `_split_cells` finds the cells that split from the short
+        rows.  Only the points of those cells get full key rows (with
+        splitters None, those of every non-singleton cell), so the new
+        cells, their order and the key bytes are those of full rows.
+
+        The keys are built in the `_key_dtype` of C: uint16 while
+        ncolors * C <= 2**16, else uint32 (ncolors * C <= n**2 < 2**32 for
+        n < 2**16).  Every key is non-negative and fits, so a wider
+        little-endian dtype would only append zero bytes, equal in every
+        key, to each entry: the byte order of two rows, and so the order of
+        the new cells, is the same at any width.  The rows are made a block
+        of points at a time from the `_key_window` of C, with no color
+        table, and bucketed cell by cell; a cell larger than a block fills
+        its buckets over several blocks.
         """
         points, cuts = part
-        bounds = list(zip(cuts, cuts[1:]))
-        window = self._key_window(len(bounds))
-        sizes = [b - a for a, b in bounds]
+        C = len(cuts) - 1
+        buf, window = self._key_window(C)
+        bounds = np.fromiter(cuts, dtype=np.int64, count=C + 1)
+        sizes = bounds[1:] - bounds[:-1]
         cell_id = np.empty(self.n, dtype=window.dtype)
-        cell_id[points] = np.arange(len(bounds), dtype=window.dtype).repeat(sizes)
-        active = points[np.repeat(np.array(sizes) > 1, sizes)]
-        keys = self._sorted_keys(active, cell_id, window)
-        out, new_cuts = points.copy(), [0]
-        for a, b in bounds:
+        cell_id[points] = np.arange(C, dtype=window.dtype).repeat(sizes)
+        if splitters is None:
+            split = np.flatnonzero(sizes > 1).tolist()
+        else:
+            split = self._split_cells(points[np.repeat(sizes > 1, sizes)], splitters, cell_id, buf)
+            if not split:
+                return part, points[:0]
+        keys = self._sorted_keys(
+            np.concatenate([points[cuts[i]:cuts[i + 1]] for i in split]), cell_id, window)
+        out, added, new_splitters = points.copy(), [], []
+        for i in split:
+            a, b = cuts[i], cuts[i + 1]
             buckets: dict[bytes, list[int]] = {}
-            if b - a > 1:
-                # zip takes exactly b - a rows from keys
-                for v, key in zip(points[a:b].tolist(), keys):
-                    buckets.setdefault(key, []).append(v)
-            if len(buckets) > 1:
-                cell = []
-                for key in sorted(buckets):
-                    cell += buckets[key]
-                    new_cuts.append(a + len(cell))
-                out[a:b] = cell
-            else:
-                new_cuts.append(b)
-        return out, tuple(new_cuts)
+            # zip takes exactly b - a rows from keys
+            for v, key in zip(points[a:b].tolist(), keys):
+                buckets.setdefault(key, []).append(v)
+            if len(buckets) == 1:
+                continue
+            pieces = [buckets[key] for key in sorted(buckets)]
+            # max takes the first of the largest
+            largest = max(pieces, key=len)
+            cell = []
+            for piece in pieces:
+                cell += piece
+                added.append(a + len(cell))
+                if piece is not largest:
+                    new_splitters += piece
+            # the last new cell ends at b, an old cut
+            added.pop()
+            out[a:b] = cell
+        if not added:
+            return part, points[:0]
+        return (out, tuple(sorted(cuts + tuple(added)))), np.array(new_splitters, dtype=np.int64)
+
+    def _split_cells(self, rows, splitters, cell_id, buf) -> list[int]:
+        """The cells, of the points of the non-singleton cells given as
+        rows, whose points' short key rows, their keys over the splitter
+        points sorted, are not all equal: those in which two consecutive
+        rows differ.  The short rows are made a block of rows at a time,
+        each block starting at the last row of the one before."""
+        row_cell = cell_id[rows]
+        splitter_ids = cell_id[splitters]
+        # the key of (v, u) is buf[n - v + u]; int32 halves the block of
+        # indices (2n < 2**31)
+        offsets, splitters = (self.n - rows).astype(np.int32), splitters.astype(np.int32)
+        differs = np.empty(len(rows) - 1, dtype=bool)
+        step = max(2, _BLOCK_ENTRIES // len(splitters))
+        for start in range(0, len(rows) - 1, step - 1):
+            keys = buf[offsets[start:start + step, None] + splitters]
+            keys += splitter_ids
+            keys.sort(axis=1)
+            differs[start:start + step - 1] = (keys[1:] != keys[:-1]).any(axis=1)
+        differs &= row_cell[1:] == row_cell[:-1]
+        # rows are in cell order, so dict.fromkeys keeps each cell once
+        return list(dict.fromkeys(row_cell[1:][differs].tolist()))
 
     def _refine(self, part, ci: int):
         """One-dimensional refinement of a partition in which cell ci is
@@ -321,34 +454,16 @@ class _StabilizerSearch:
         stable sort, which gives the cells of a row pass in their order
         (ascending color, except that the colors whose key ends in the
         byte 0xFF go last, descending), and a partition it leaves as it is
-        is already equitable.  Then `_row_pass` until no cell splits.
+        is already equitable.  Then `_row_pass`, each against the
+        splitters of the pass before it, until no cell splits.
         """
         n = self.n
-        if len(part[1]) - 1 < n:
-            split = self._split_by_point(part, ci)
-            if split is part:
-                return part
-            part = split
-        while len(part[1]) - 1 < n:
-            new_part = self._row_pass(part)
-            if len(new_part[1]) == len(part[1]):
-                break
-            part = new_part
+        if len(part[1]) - 1 == n:
+            return part
+        part, splitters = self._split_by_point(part, ci)
+        while len(part[1]) - 1 < n and (splitters is None or len(splitters)):
+            part, splitters = self._row_pass(part, splitters)
         return part
-
-    def _root(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def _merge(self, f: tuple) -> None:
-        """Join the classes of x and f(x) for every x that f moves."""
-        for x, y in enumerate(f):
-            if x != y:
-                rx, ry = self._root(x), self._root(y)
-                self.parent[max(rx, ry)] = min(rx, ry)
 
     def run(self) -> list:
         """Search, then return the stabilizer chain levels of the stabilizer
@@ -356,22 +471,24 @@ class _StabilizerSearch:
 
         The levels are searched deepest first, so when a level starts,
         every deeper level is finished and none above has started:
-        found[:level] is empty and the union-find holds the orbits of
-        found[level:].  Those fix base[:level], so they map the level's
-        target cell onto itself.  The cell is ascending, the base point is
+        found[:level] is empty, and the `_TargetOrbits` classes on the
+        level's target cell are the orbits of found[level:] on it, each
+        automorphism merged over the target cells it maps onto themselves
+        (O(|cells|), not O(n)).  The cell is ascending, the base point is
         its first point and the candidates are the rest in order, so v's
-        orbit meets a point tried or skipped before v iff its least point,
-        the root, is not v.
+        orbit meets a point tried or skipped before v iff its least point
+        is not v.
         """
+        cells = [points[cuts[ci]:cuts[ci + 1]].tolist()
+                 for (points, cuts), ci in zip(self.p_seq, self.target_cells)]
+        orbits = _TargetOrbits(cells)
         for level in reversed(range(len(self.base))):
-            points, cuts = part = self.p_seq[level]
-            ci = self.target_cells[level]
-            for v in points[cuts[ci] + 1:cuts[ci + 1]].tolist():
-                if self._root(v) == v:
-                    f = self._first_leaf(level, part, v)
+            for v in cells[level][1:]:
+                if orbits.root(v) == v:
+                    f = self._first_leaf(level, self.p_seq[level], v)
                     if f is not None:
                         self.found[level].append(f)
-                        self._merge(f)
+                        orbits.merge(f, level)
         return [(b, self._transversal(level), self.found[level])
                 for level, b in enumerate(self.base)]
 

@@ -75,11 +75,42 @@ def part_of(cells):
     return points, tuple(itertools.accumulate(map(len, cells), initial=0))
 
 
+def full_row_pass(search, part):
+    """Oracle: one row pass from the full sorted key row of every point
+    of a non-singleton cell, bucketed cell by cell: the new partition, or
+    the partition as it is when no cell splits."""
+    points, cuts = part
+    bounds = list(zip(cuts, cuts[1:]))
+    _, window = search._key_window(len(bounds))
+    sizes = [b - a for a, b in bounds]
+    cell_id = np.empty(search.n, dtype=window.dtype)
+    cell_id[points] = np.arange(len(bounds), dtype=window.dtype).repeat(sizes)
+    active = points[np.repeat(np.array(sizes) > 1, sizes)]
+    keys = search._sorted_keys(active, cell_id, window)
+    out, new_cuts = points.copy(), [0]
+    for a, b in bounds:
+        buckets = {}
+        if b - a > 1:
+            for v, key in zip(points[a:b].tolist(), keys):
+                buckets.setdefault(key, []).append(v)
+        if len(buckets) > 1:
+            cell = []
+            for key in sorted(buckets):
+                cell += buckets[key]
+                new_cuts.append(a + len(cell))
+            out[a:b] = cell
+        else:
+            new_cuts.append(b)
+    if len(new_cuts) == len(cuts):
+        return part
+    return out, tuple(new_cuts)
+
+
 class _FullDescentSearch(_StabilizerSearch):
     """Oracle: the search as it was before the aligned-map test, which
     descends through the candidates of every off-path node down to a leaf
     and tests only the leaf, against the full color table, refining by
-    row passes only."""
+    full row passes only."""
 
     def __init__(self, ring, node_budget):
         super().__init__(ring, node_budget)
@@ -94,8 +125,8 @@ class _FullDescentSearch(_StabilizerSearch):
 
     def _refine(self, part, ci):
         while len(part[1]) - 1 < self.n:
-            new_part = self._row_pass(part)
-            if len(new_part[1]) == len(part[1]):
+            new_part = full_row_pass(self, part)
+            if new_part is part:
                 break
             part = new_part
         return part
@@ -125,7 +156,6 @@ class _Int64RefineSearch(_StabilizerSearch):
             self.target_cells.append(ci)
             self.p_seq.append(self._refine(self._individualize(part, ci, b)))
         self.found = [[] for _ in self.base]
-        self.parent = list(range(self.n))
 
     def _refine(self, part, ci=None):
         """Full-row passes only: ci is ignored."""
@@ -496,15 +526,16 @@ def plus_minus_one_ring(n):
 
 def test_refinement_leaves_the_basic_sets_as_they_are():
     """The basic sets are an equitable partition, so the search takes them
-    as its root partition without refining them: one row pass splits none
-    of them."""
+    as its root partition without refining them: one full row pass splits
+    none of them, nor does a row pass with every point a splitter."""
     for ring in catalog_rings(30):
         if ring.rank == ring.n:
             continue
         search = _StabilizerSearch(ring, DEFAULT_NODE_BUDGET)
         root = part_of(ring.cells)
-        assert [c.tolist() for c in cells_of(search._row_pass(root))] == \
-            [list(c) for c in ring.cells]
+        assert full_row_pass(search, root) is root
+        part, splitters = search._row_pass(root, np.arange(ring.n))
+        assert part is root and len(splitters) == 0
 
 
 def assert_search_matches_int64_oracle(cls, rings):
@@ -566,9 +597,9 @@ class _SplitCheckingSearch(_StabilizerSearch):
     def _refine(self, part, ci):
         cells = cells_of(part)
         if len(cells) < self.n:
-            split = cells_of(self._split_by_point(part, ci))
+            split = cells_of(self._split_by_point(part, ci)[0])
             assert [c.tolist() for c in split] == \
-                [c.tolist() for c in cells_of(self._row_pass(part))]
+                [c.tolist() for c in cells_of(full_row_pass(self, part))]
             color = self.rolled[int(cells[ci][0]) + 1][::-1]
             old_cell = np.empty(self.n, dtype=np.int64)
             for i, c in enumerate(cells):
@@ -597,6 +628,121 @@ def test_split_by_point_is_one_row_pass():
     assert min(split_reorders(_SplitCheckingSearch)) > 0
 
 
+def expected_splitters(old_cuts, part):
+    """Oracle: the splitter points of the partition part that a pass made
+    from one of cut positions old_cuts, sorted: the points of every new
+    cell of an old cell that split, except those of its first largest new
+    cell."""
+    points, cuts = part
+    out, j = [], 0
+    for a, b in zip(old_cuts, old_cuts[1:]):
+        pieces = []
+        while cuts[j] < b:
+            pieces.append((cuts[j], cuts[j + 1]))
+            j += 1
+        if len(pieces) > 1:
+            largest = max(pieces, key=lambda piece: piece[1] - piece[0])
+            out += [x for c, d in pieces if (c, d) != largest for x in points[c:d].tolist()]
+    return sorted(out)
+
+
+class _SplitterCheckingSearch(_StabilizerSearch):
+    """The search, checking that every row pass gives the full-row
+    oracle's partition, and that the splitters of every pass (row pass or
+    `_split_by_point`) are `expected_splitters`; counts the row passes."""
+
+    def __init__(self, ring, node_budget):
+        self.passes = 0
+        super().__init__(ring, node_budget)
+
+    def _check_splitters(self, part, new, splitters):
+        if new is part:
+            assert len(splitters) == 0
+        elif splitters is None:
+            # no pass follows
+            assert len(new[1]) - 1 == self.n
+        else:
+            assert sorted(splitters.tolist()) == expected_splitters(part[1], new)
+
+    def _split_by_point(self, part, ci):
+        new, splitters = super()._split_by_point(part, ci)
+        self._check_splitters(part, new, splitters)
+        return new, splitters
+
+    def _row_pass(self, part, splitters):
+        new, new_splitters = super()._row_pass(part, splitters)
+        want = full_row_pass(self, part)
+        assert new[1] == want[1] and np.array_equal(new[0], want[0])
+        self._check_splitters(part, new, new_splitters)
+        self.passes += 1
+        return new, new_splitters
+
+
+def example12_sections(result):
+    """The rings of the certificate's sections U = 275 and G/L = 3575/11
+    of the Z_3575 family ring, over Z_275 and Z_325."""
+    ring, sec = result.ring, result.certificate_section
+    return [section_ring(ring, Section(sec.n, sec.u, 1)),
+            section_ring(ring, Section(sec.n, sec.n, sec.l))]
+
+
+def test_row_passes_against_the_splitters_are_full_row_passes(monkeypatch, example12_fixture):
+    """With the splitters found at every n, every row pass of the search
+    over the catalog rings with n <= 30 and rank > 2 and over the Z_3575
+    family's section rings on Z_275 and Z_325 gives the partition of the
+    full-row oracle, and every pass's splitters are every new cell of a
+    cell it split but one largest.  The catalog searches visit the nodes
+    they do by default."""
+    monkeypatch.setattr(scheme, "_SPLITTER_MIN_N", 0)
+    rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
+    searches = [run_search(_SplitterCheckingSearch, ring) for ring in rings]
+    assert sum(s.nodes for s in searches) == SEARCH_NODES_N30
+    sections = [run_search(_SplitterCheckingSearch, ring)
+                for ring in example12_sections(example12_fixture)]
+    assert [s.n for s in sections] == [275, 325]
+    assert min(s.passes for s in sections) > 0
+    assert sum(s.passes for s in searches) > 1000
+
+
+# key entries that the row passes of the search on the Z_325 section ring
+# gather, and that full rows of every point of a non-singleton cell would
+GATHERED_Z325, FULL_Z325 = 210_182, 1_118_000
+
+
+class _GatherCounting(_StabilizerSearch):
+    """The search, counting the key entries its row passes gather (short
+    rows over the splitters and full rows) and those that the full rows
+    of every point of a non-singleton cell would."""
+
+    def __init__(self, ring, node_budget):
+        self.gathered = self.full = 0
+        super().__init__(ring, node_budget)
+
+    def _row_pass(self, part, *args):
+        sizes = np.diff(part[1])
+        self.full += int(sizes[sizes > 1].sum()) * self.n
+        return super()._row_pass(part, *args)
+
+    def _sorted_keys(self, points, cell_id, window):
+        self.gathered += len(points) * self.n
+        return super()._sorted_keys(points, cell_id, window)
+
+    def _split_cells(self, rows, splitters, cell_id, buf):
+        self.gathered += len(rows) * len(splitters)
+        return super()._split_cells(rows, splitters, cell_id, buf)
+
+
+def test_row_passes_gather_under_a_fifth_of_full_rows(example12_fixture):
+    """On the Z_3575 family's section ring over Z_325, the row passes
+    gather the short rows over the splitters and the full rows of the
+    cells that split: under a fifth of the entries of full rows of every
+    point."""
+    ring = example12_sections(example12_fixture)[1]
+    search = run_search(_GatherCounting, ring)
+    assert (search.gathered, search.full) == (GATHERED_Z325, FULL_Z325)
+    assert 5 * search.gathered < search.full
+
+
 def search_record(ring):
     """Base, generators, nodes and first-path cells of the search."""
     search = run_search(_StabilizerSearch, ring)
@@ -620,12 +766,23 @@ def test_search_is_the_same_on_a_big_endian_host(monkeypatch):
 
 def test_search_in_small_blocks_matches_the_int64_refinement(monkeypatch):
     """With blocks of 64 entries, at most 21 rows for these rings (3 <= n
-    <= 30), the keys of a cell come in several blocks and the search is
-    still the oracle's."""
+    <= 30), the keys of a cell come in several blocks, and with the
+    splitters found at every n, so do the short rows of some passes; the
+    search is still the oracle's."""
+
+    class Recording(_StabilizerSearch):
+        short_blocks = 0
+
+        def _split_cells(self, rows, splitters, cell_id, buf):
+            self.short_blocks = max(self.short_blocks, len(rows) * len(splitters) // 64)
+            return super()._split_cells(rows, splitters, cell_id, buf)
+
     monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(scheme, "_SPLITTER_MIN_N", 0)
     rings = [ring for ring in catalog_rings(30) if ring.rank > 2]
-    searches = assert_search_matches_int64_oracle(_StabilizerSearch, rings)
+    searches = assert_search_matches_int64_oracle(Recording, rings)
     assert any(len(c) > 64 // s.n for s in searches for p in s.p_seq for c in cells_of(p))
+    assert max(s.short_blocks for s in searches) > 1
 
 
 def test_blockwise_color_check_matches_the_full_table(monkeypatch):
