@@ -25,7 +25,6 @@ from .sring import (
     subgroup_lattice,
     tensor,
     validate,
-    validate_batch,
     wreath,
 )
 from .perm import (
@@ -71,8 +70,7 @@ __all__ = [
     "subgroup_elements", "unit_orbits",
     "Classification", "SRing", "classify", "cyclotomic", "generalized_wreath",
     "group_ring", "radical", "radical_of_set", "rank2",
-    "section_ring", "subgroup_lattice", "tensor", "validate",
-    "validate_batch", "wreath",
+    "section_ring", "subgroup_lattice", "tensor", "validate", "wreath",
     "PermGroup", "holomorph", "induced_on_section", "intersect",
     "kernel_on_blocks", "symmetric", "translations",
     "two_equivalent", "two_orbits",

@@ -3,24 +3,19 @@
 An S-ring is stored as its basic-set partition in canonical form: each
 cell sorted ascending, cells ordered by minimum element.  Canonical form
 defines equality and hashing, and every constructor canonicalizes on
-output.  The axioms are checked exactly by validate_batch over many
-partitions of one Z_n (validate is the batch of one).  Cells, coverage,
-the identity cell and inverse closure take one pass in Python per
-partition.  The structure constants are checked as sorted rows: the row
-[z, x] holds the cell of z - x tagged by the cell of x, and sorted over
-x it must be the same at every point z as at the least point of z's
-cell, which compares every count c_XY at z at once.  A slab of whole
-rings is one sort of the rows [ring, z, x].  A ring too large for a slab
-is checked alone, in one pass of whole rows listed cell by cell, a chunk
-of rows at a time.  Each sorted row is compared with the row before it
-when both lie in one cell.  The pass takes one point per orbit of K, the
-units m with m * X = X for every cell X: the orbit minima up to n/2 and
-that of the negated least point of each cell.  The rows at z and m * z
-agree, and inverse closure gives the points above n/2 (the proof is in
-_check_structure_constants).  For the Z_3575 ring of example12 that is
-385 points in place of 1,831.  A ring of rank 2 passes at once.  Every
-temporary has O(n) entries or those of one chunk, whatever the cell
-sizes.
+output.
+
+One rule divides the work: validate checks a partition from outside the
+program, and every constructor builds its S-ring directly from S-ring
+inputs, by a theorem that makes the result an S-ring.  validate checks
+cells, coverage, the identity cell and inverse closure in one Python
+pass, then the structure constants as sorted rows: the row of z holds the
+cell of z - x tagged by the cell of x, over every x, and sorted it must be
+the same at every point of z's cell, which compares every count c_XY at z
+at once.  The rows are built in one pass over the points listed cell by
+cell, a chunk at a time, each compared with the row before it in its
+cell.  A ring of rank 2 passes at once.  Every temporary has O(n) entries
+or those of one chunk, whatever the cell sizes.
 """
 
 from __future__ import annotations
@@ -48,17 +43,15 @@ from .zn import (
 def canonical_partition(partition) -> tuple[tuple[int, ...], ...]:
     cells = [tuple(sorted(cell)) for cell in partition]
     cells.sort(key=lambda c: c[0])
-    cells = tuple(cells)
-    # keep a canonical input itself, so a batch holds one copy of each ring
-    return partition if cells == partition else cells
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
 class SRing:
     """An S-ring over Z_n given by its basic sets in canonical form.
 
-    Construct via :func:`validate` (or one of the constructors below),
-    which enforce the axioms; the raw constructor trusts its input.
+    Constructors build S-rings from S-rings; :func:`validate` checks
+    outside input.  The raw constructor trusts its input.
     """
 
     n: int
@@ -109,42 +102,33 @@ class SRing:
 
 
 def validate(n: int, partition) -> SRing:
-    """Check the S-ring axioms and return the canonicalized ring.
+    """Check the S-ring axioms of a partition from outside the program
+    and return the canonicalized ring.
 
     Raises DomainError naming a witness if a cell is empty, a point is out
     of range or not covered exactly once, the identity cell is not {0},
     some cell's negation is not a cell, or the convolution of two cells is
-    not constant on some cell.
+    not constant on some cell.  A partition of rank 2 or less that passes
+    the other axioms is {0} and the rest, whose counts are constant, so it
+    passes at once.
     """
-    return validate_batch(n, [partition])[0]
-
-
-def validate_batch(n: int, partitions) -> list[SRing]:
-    """validate(n, p) for each partition p, in order, with the structure
-    constants checked a slab of whole rings at a time.  Raises the
-    DomainError that validate raises for the first partition that fails."""
     check_modulus(n)
-    rings, error = [], None
-    for partition in partitions:
-        if any(len(cell) == 0 for cell in partition):
-            error = "empty cell"
-            break
-        cells = canonical_partition(partition)
-        error = _axiom_error(n, cells)
-        if error is not None:
-            break
-        rings.append(SRing(n, cells))
-    per = max(1, _SLAB_ENTRIES // (n * n))
-    for start in range(0, len(rings), per):
-        _check_structure_constants(rings[start:start + per])
+    if any(len(cell) == 0 for cell in partition):
+        raise DomainError("empty cell")
+    cells = canonical_partition(partition)
+    error = _axiom_error(n, cells)
     if error is not None:
         raise DomainError(error)
-    return rings
+    ring = SRing(n, cells)
+    if ring.rank > 2:
+        failing = _failing_cell(ring)
+        if failing is not None:
+            _raise_first_failure(ring, failing)
+    return ring
 
 
-# entries of the rows of a slab of whole rings (n * n each), and of each
-# chunk of rows of a ring too large for a slab (512 KB as int32)
-_SLAB_ENTRIES = 1 << 16
+# entries of each chunk of rows of the structure-constant check (512 KB as
+# int32)
 _CHECK_ENTRIES = 1 << 17
 
 
@@ -172,208 +156,64 @@ def _axiom_error(n: int, cells) -> str | None:
     return None
 
 
-def _differences(cell: np.ndarray) -> np.ndarray:
-    """A view of shape (k, n, n) of the (k, n) maps cell, with
-    [r, z, x] = cell[r, z - x mod n]."""
-    k, n = cell.shape
-    doubled = np.concatenate([cell, cell], axis=1)
-    ring_step, step = doubled.strides
-    return np.ndarray((k, n, n), dtype=cell.dtype, buffer=doubled, offset=n * step,
-                      strides=(ring_step, step, -step))
+def _failing_cell(ring: SRing) -> int | None:
+    """The least cell X of a partition that passes the other axioms whose
+    count c_XY, for some cell Y, is not constant on some cell; None if
+    there is none.
 
+    c_XY(z), the number of (x, y) in X x Y with x + y = z, is the
+    multiplicity of Y among the cells of z - x, x in X.  So the row of z,
+    the cell of z - x tagged by the cell of x over every x and sorted, is
+    the same at every point of z's cell exactly when every count is
+    constant there.  Row z, column j holds the cell of z + j tagged by the
+    cell of -j (x = -j), which sorting makes the same row.  The rows are
+    gathered from one forward-strided view of the doubled cell ids, at the
+    points listed cell by cell, a chunk of at most _CHECK_ENTRIES entries
+    (or two rows, for n above half that) at a time, sorted, and each
+    compared with the row before it when both lie in one cell; each chunk
+    begins with the last row of the chunk before.
 
-def _check_structure_constants(rings: list[SRing]) -> None:
-    """For all cells X, Y the count of (x, y) in X x Y with x + y = z must
-    be constant as z ranges over any one cell.
-
-    That count is the multiplicity of Y among the cells of z - x, x in X.
-    So the row [z, x] = cell of z - x, tagged by the cell of x, sorts over
-    x to the same row as at least[z] exactly when every count is constant
-    on z's cell.  Whole rings are stacked as rows [ring, z, x] and sorted
-    in one call.
-
-    A ring whose n * n exceeds a slab is taken alone, in one chunked pass
-    of whole rows listed cell by cell (_failing_cell), with z only in
-        H_K = {z <= n/2 : rep(z) = z} u {rep(-l(Z)) : Z a cell},
-    l(Z) the least point of Z, K the group of units m with m * X = X for
-    every cell X, and rep(z) the least point of the orbit K * z
-    (_multiplier_orbit_minima).  For K = {1} this is {0..n//2} with the
-    negated least points.  That suffices.  Let row(z, X) be the multiset
-    {cell(z - x) : x in X} and inv map each cell to its negation, a cell
-    by inverse closure (checked before).  For m in K, x -> m * x permutes
-    X and fixes every cell, so row(m * z, X) = row(z, X): every z has the
-    row of rep(z), a point of its cell.  Negating z - x gives
-    row(-z, -X) = inv(row(z, X)).  Suppose that for every cell the rows
-    at its points in H_K agree, and take z in the cell Z.  If
-    rep(z) <= n/2, it is in H_K.  Otherwise w = rep(z) > n/2, so -w < n/2
-    lies in -Z, and rep(-w) <= -w and l(-Z), least in -Z and so in its
-    orbit, are points of -Z in H_K; hence
-        row(z, X) = row(w, X) = inv(row(-w, -X)) = inv(row(rep(-w), -X))
-                  = inv(row(l(-Z), -X)) = row(-l(-Z), X),
-    the row of rep(-l(-Z)), a point of Z in H_K.  So z has the row of the
-    points of Z in H_K.  The check over H_K mixes X and -X, so when it
-    fails the same pass runs again over every z, to find the least
-    failing X.
-
-    The pass compares each row with the row before it in the same cell,
-    not with the cell's first row.  The first column at which some row
-    differs from its cell's first row is also the first column at which
-    two consecutive rows of that cell differ, so both comparisons name
-    the same least failing X.  A partition of rank 2 or less that passes
-    the other axioms is {0} and the rest, whose counts are constant, so
-    beyond a slab it passes at once.
-
-    On failure the counts are recomputed for the least failing X, which
-    is the first cell the pairwise check in order (X, Y) with X <= Y would
-    reject, since c_XY = c_YX.
+    Every sorted row holds |X| entries tagged X for each cell X, so column
+    c of every row holds an entry tagged by the c-th least cell id of the
+    points (z_cell, which is sorted).  The first column at which some row
+    differs from its cell's first row is also the first at which two
+    consecutive rows of that cell differ, and it names the least failing
+    X.  Every temporary has O(n) entries or those of one chunk, whatever
+    the cell sizes.
     """
-    n, k = rings[0].n, len(rings)
-    # the per-ring maps cell[x] = x's cell and least[x] = its least point
-    cells = [cell for ring in rings for cell in ring.cells]
-    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    at = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=k * n)
-    at += np.arange(0, k * n, n).repeat(n)
-    cell, least = np.empty((2, k, n), dtype=np.int64)
-    cell.flat[at] = np.fromiter(chain.from_iterable(range(ring.rank) for ring in rings),
-                                dtype=np.int64, count=len(cells)).repeat(sizes)
-    least.flat[at] = np.fromiter((c[0] for c in cells), dtype=np.int64,
-                                 count=len(cells)).repeat(sizes)
-    ranks = [ring.rank for ring in rings]
+    n, rank = ring.n, ring.rank
+    zs = np.fromiter(chain.from_iterable(ring.cells), dtype=np.int64, count=n)
+    sizes = np.fromiter(map(len, ring.cells), dtype=np.int64, count=rank)
     # a tagged entry is below rank * rank; int16 sorts faster where it fits
-    dtype = np.int16 if max(ranks) ** 2 <= 1 << 15 else np.int32
-    rank = np.array(ranks, dtype=dtype)
-    cell = cell.astype(dtype)
-    tags = cell * rank[:, None]
-    if n * n <= _SLAB_ENTRIES:
-        rows = _differences(cell) + tags[:, None, :]
-        rows.sort(axis=2)
-        ref = rows[np.arange(k)[:, None], least]
-        if (rows != ref).any():
-            r = int(np.argmax((rows != ref).any(axis=(1, 2))))
-            _raise_first_failure(rings[r], _least_failing_cell(rows[r], ref[r], rank[r]))
-        return
-    # a ring larger than a slab is the only ring of its batch, so at holds
-    # its points cell by cell
-    (ring,) = rings
-    if ring.rank <= 2:
-        return
-    # H_K: the orbit minima up to n/2 and the orbit minimum of the negated
-    # least point of every cell
-    rep = _multiplier_orbit_minima(cell[0], least[0])
-    half = np.arange(n // 2 + 1)
-    in_h = np.zeros(n, dtype=bool)
-    in_h[half] = rep[half] == half
-    in_h[rep[(n - least[0]) % n]] = True
-    if _failing_cell(cell[0], ring.rank, at[in_h[at]]) is not None:
-        _raise_first_failure(ring, _failing_cell(cell[0], ring.rank, at))
-
-
-def _failing_cell(cell: np.ndarray, rank: int, zs: np.ndarray) -> int | None:
-    """The least cell X whose rows differ at two points of one cell in zs,
-    which lists points cell by cell; None if there is none.  cell[x] is
-    the cell of x, in the dtype of the rows.
-
-    Row z, column j holds the cell of z + j tagged by the cell of -j, the
-    row [z, x] of _check_structure_constants with its columns permuted
-    (x = -j), which sorting undoes.  The rows are gathered from one
-    forward-strided view of the doubled cell ids, a chunk of at most
-    _CHECK_ENTRIES entries (or two rows, for n above half that) at a time,
-    sorted, and each compared with the row before it when both lie in one
-    cell; each chunk begins with the last row of the chunk before.
-    """
-    n = len(cell)
+    dtype = np.int16 if rank * rank <= 1 << 15 else np.int32
+    # the cell of each point of zs, and cell[x], the cell of x
+    z_cell = np.arange(rank, dtype=dtype).repeat(sizes)
+    cell = np.empty(n, dtype=dtype)
+    cell[zs] = z_cell
     doubled = np.concatenate([cell, cell])
     window = np.lib.stride_tricks.as_strided(doubled, shape=(n, n), strides=doubled.strides * 2,
                                              writeable=False)
     tag = cell[-np.arange(n)] * rank
-    z_cell = cell[zs]
     same = z_cell[1:] == z_cell[:-1]
     # the columns at which two consecutive rows of one cell differ
     differs = np.zeros(n, dtype=bool)
     per = max(1, _CHECK_ENTRIES // n - 1)
-    for start in range(0, len(zs) - 1, per):
+    for start in range(0, n - 1, per):
         rows = window[zs[start:start + per + 1]]
         rows += tag
         rows.sort(axis=1)
         differs |= ((rows[1:] != rows[:-1]) & same[start:start + per, None]).any(axis=0)
         # one chunk at a time: free it before the next is gathered
         del rows
-    # column c of every sorted row holds an entry tagged by the c-th least
-    # cell id of the columns (_least_failing_cell)
-    return int(np.sort(cell)[np.argmax(differs)]) if differs.any() else None
-
-
-def _multiplier_orbit_minima(cell: np.ndarray, least: np.ndarray) -> np.ndarray:
-    """rep[x], the least point of the orbit of x under K, the units m of
-    Z_n with m * X = X for every cell X; cell[x] is the cell of x and
-    least[x] its least point.
-
-    Such an m lies in the cell of 1, since m = m * 1.  The units of that
-    cell are screened at the least point of every cell, and the survivors
-    taken in increasing order: m is already in the group <gens> found so
-    far iff rep[m] == 1, and otherwise is checked at every point and
-    joined to gens if it passes (_join_powers).  When m fails, so does
-    every point of its orbit under <gens>, m times an element of K.  Every
-    temporary has O(n) entries or a chunk's _CHECK_ENTRIES; K is never
-    listed.
-    """
-    n = len(cell)
-    x = np.arange(n)
-    units = np.flatnonzero(cell == cell[1])
-    units = units[np.gcd(units, n) == 1][1:]
-    if not len(units):
-        return x
-    # the screen at the least points other than those of {0} and the cell
-    # of 1, which every candidate fixes, a chunk of candidates at a time
-    firsts = np.flatnonzero(least == x)[2:]
-    step = _CHECK_ENTRIES // max(1, len(firsts))
-    keep = np.empty(len(units), dtype=bool)
-    for start in range(0, len(units), step):
-        chunk = units[start:start + step]
-        keep[start:start + step] = (cell[np.outer(chunk, firsts) % n] == cell[firsts]).all(axis=1)
-    # failed starts with 1, whose orbit is <gens>
-    candidates, rep, failed = units[keep], x, [1]
-    while len(candidates):
-        m, candidates = int(candidates[0]), candidates[1:]
-        image = m * x % n
-        if np.array_equal(cell[image], cell):
-            rep = _join_powers(rep, image)
-        else:
-            failed.append(m)
-        # the orbits of <gens> and of the failed candidates
-        dead = np.zeros(n, dtype=bool)
-        dead[rep[failed]] = True
-        candidates = candidates[~dead[rep[candidates]]]
-    return rep
-
-
-def _join_powers(rep: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """r(x) = min over j >= 0 of rep[g^j x], for image[x] = g * x mod n.
-
-    By doubling: r_1 = rep, and r_2t(x) = min(r_t(x), r_t(g^t x)) is the
-    minimum over j < 2t.  Once r_2t = r_t, r_t(x) <= r_t(g^t x) around
-    every cycle of g^t, so r_t is invariant under g^t and already r.  That
-    takes at most 1 + ceil(log2 e) steps, e the order of g.
-    """
-    while True:
-        joined = np.minimum(rep, rep[image])
-        if np.array_equal(joined, rep):
-            return rep
-        rep, image = joined, image[image]
-
-
-def _least_failing_cell(rows: np.ndarray, ref: np.ndarray, rank: int) -> int:
-    """The least cell X with a count that differs between a sorted row and
-    its reference row.  Every row holds |X| entries tagged X for each X
-    it covers, so sorted rows put X's entries in the same columns, and the
-    first column where any two differ is one of the least such X."""
-    column = int(np.argmax((rows != ref).any(axis=0)))
-    return int(rows[0, column]) // int(rank)
+    return int(z_cell[np.argmax(differs)]) if differs.any() else None
 
 
 def _raise_first_failure(ring: SRing, i: int) -> None:
     """Raise the DomainError for the first cell Y >= X = cell i whose
-    counts c_XY are not constant on some cell, naming the least such z."""
+    counts c_XY are not constant on some cell, naming the least such z.
+    For X the least failing cell (_failing_cell), c_XY = c_YX is constant
+    for every Y < X, so this is the first pair the pairwise check in order
+    (X, Y), X <= Y, rejects."""
     n = ring.n
     cell_id = np.fromiter(ring.cell_of, dtype=np.int64, count=n)
     first = np.array([cell[0] for cell in ring.cells], dtype=np.int64)
@@ -411,17 +251,27 @@ def rank2(n: int) -> SRing:
 
 
 def cyclotomic(n: int, gens) -> SRing:
-    """Cyc(K, n): basic sets are the orbits of K = <gens> <= (Z/n)* on Z_n."""
-    return validate(n, unit_orbits(n, gens))
+    """Cyc(K, n): basic sets are the orbits of K = <gens> <= (Z/n)* on Z_n.
+
+    An S-ring by Schur's theorem: the orbits of the stabilizer of a point
+    in a permutation group of Z_n that contains the translations form an
+    S-ring.  Here the group is Z_n x| K, whose stabilizer of 0 is K.
+    """
+    return SRing(n, unit_orbits(n, gens))
 
 
 def tensor(a1: SRing, a2: SRing) -> SRing:
     """Tensor product over Z_{n1*n2} via the CRT isomorphism fixed by the
-    canonical idempotents e1 = (1,0), e2 = (0,1)."""
+    canonical idempotents e1 = (1,0), e2 = (0,1).
+
+    An S-ring, since the tensor product of S-rings over Z_n1 and Z_n2 is
+    one over Z_n1 x Z_n2: its structure constants are the products
+    c_{X1 X2, Y1 Y2}(z1, z2) = c_{X1 Y1}(z1) * c_{X2 Y2}(z2)."""
     n1, n2 = a1.n, a2.n
     if gcd(n1, n2) != 1:
         raise DomainError(f"tensor factors must have coprime moduli, got {n1}, {n2}")
-    return validate(n1 * n2, tensor_partition(a1, a2))
+    check_modulus(n1 * n2)
+    return SRing(n1 * n2, canonical_partition(tensor_partition(a1, a2)))
 
 
 def tensor_partition(a1: SRing, a2: SRing) -> list[tuple[int, ...]]:
@@ -471,7 +321,10 @@ def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:
     a1 lives over Z_u = U, a2 over Z_{n/l} = G/L, and the two induced
     rings on S = U/L must coincide under the canonical identifications.
     The result restricts to a1 on U, projects to a2 mod L, and every
-    basic set outside U is a union of L-cosets.
+    basic set outside U is a union of L-cosets.  It is an S-ring by the
+    theorem of Evdokimov and Ponomarenko on generalized wreath products:
+    the product of an S-ring over U and one over G/L is an S-ring whenever
+    the two induce the same ring on U/L.
     """
     n, u, l = sec.n, sec.u, sec.l
     if a1.n != u:
@@ -490,7 +343,7 @@ def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:
             "section rings differ on U/L: "
             f"restriction of left factor gives {s1.cells}, of right factor {s2.cells}")
 
-    return validate(n, generalized_wreath_partition(a1, a2, sec))
+    return SRing(n, canonical_partition(generalized_wreath_partition(a1, a2, sec)))
 
 
 def generalized_wreath_partition(a1: SRing, a2: SRing, sec: Section) -> list[tuple[int, ...]]:

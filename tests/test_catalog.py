@@ -19,6 +19,7 @@ from circulant import (
     schurity_sweep,
     section_ring,
     subgroup_lattice,
+    validate,
 )
 from circulant.sring import canonical_partition
 from circulant.zn import divisors, multiplicative_order, unit_group
@@ -94,6 +95,15 @@ def test_example12_construction():
     assert res.m_generator % 25 == 2 and res.m_generator % 11 == 3
     assert res.m1_generator % 5 == 2 and res.m1_generator % 13 == 5
     assert res.m2_generator % 5 == 2 and res.m2_generator % 13 == 8
+
+
+def test_example12_products_pass_validate(example12_fixture):
+    # example12 builds its factors and the product by construction; the
+    # axioms of each are checked here, for the family and the control
+    control = example12(Example12Params().negative_control())
+    for res in (example12_fixture, control):
+        for ring in (res.left, res.right, res.ring):
+            assert validate(ring.n, ring.cells) == ring
 
 
 def test_example12_parameter_validation():
@@ -226,40 +236,49 @@ def test_closure_builds_only_new_products(monkeypatch):
 
 
 def test_closure_validates_once_per_modulus(monkeypatch):
-    # one closure pass at n = 48 checks every ring it keeps, seeds,
-    # tensors and gwp products, in one validate_batch call, and calls
-    # validate (or cyclotomic, which calls it) not at all
+    # one closure pass at n = 48 builds every ring it keeps, seeds, tensors
+    # and gwp products, by construction and calls no validator;
+    # test_validate_accepts_every_catalog_ring checks their axioms instead
     from circulant import catalog, sring
 
     cached = enumerate_srings(48)
-    batches, singles = [], []
-    batch = catalog.validate_batch
-
-    def counted(n, partitions):
-        batches.append((n, list(partitions)))
-        return batch(n, batches[-1][1])
-
-    monkeypatch.setattr(catalog, "validate_batch", counted)
-    monkeypatch.setattr(catalog, "validate", lambda *args: singles.append(args))
-    monkeypatch.setattr(sring, "validate", lambda *args: singles.append(args))
+    calls = []
+    monkeypatch.setattr(catalog, "validate", lambda *args: calls.append(args))
+    monkeypatch.setattr(sring, "validate", lambda *args: calls.append(args))
     again = catalog._enumerate_cached.__wrapped__(48)
     assert again == cached
-    assert not singles
-    assert [n for n, _ in batches] == [48]
-    partitions = batches[0][1]
-    assert len(partitions) == len(cached)
-    assert set(partitions) == {ring.cells for ring in cached}
-    # in the order seeds, tensors, gwp products
-    kind = dict(zip((ring.cells for ring in cached), cached.provenance))
-    order = [("seed", "tensor", "gwp").index(kind[p].split("(")[0].split(":")[0])
-             for p in partitions]
-    assert order == sorted(order) and set(order) == {0, 1, 2}
+    assert not calls
+
+
+def test_constructions_run_with_validate_refusing(monkeypatch, z9_fixture, example12_fixture):
+    # validate checks outside input only: the closure steps up to n = 36,
+    # resolve (whose extensions are generalized wreath products) and
+    # example12 build their rings with every binding of validate raising
+    import sys
+
+    from circulant import catalog, resolve, singular_classes, sring
+
+    catalogs = [enumerate_srings(n) for n in range(1, 37)]
+    rings = [z9_fixture] + [ring for ring in enumerate_srings(36) if singular_classes(ring)]
+
+    def refuse(*args):
+        raise AssertionError(f"validate called on {args!r:.60}")
+
+    bound = [module for module in list(sys.modules.values())
+             if module.__name__.startswith("circulant")
+             and getattr(module, "validate", None) is sring.validate]
+    assert {catalog, sring} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "validate", refuse)
+    for n, cat in enumerate(catalogs, start=1):
+        assert catalog._enumerate_cached.__wrapped__(n) == cat
+    assert all(resolve(ring).verified for ring in rings)
+    assert example12(Example12Params()) == example12_fixture
 
 
 def test_closure_memory_is_bounded():
     # one closure pass at n = 60 over cached smaller catalogs peaks at
-    # about 2 MB, most of it the 1,103 rings; each slab of the batched
-    # check is a few arrays of at most 2**16 entries
+    # about 2 MB, most of it the 1,103 rings
     import tracemalloc
 
     from circulant import catalog

@@ -21,11 +21,13 @@ from circulant import (
     subgroup_lattice,
     tensor,
     validate,
-    validate_batch,
     wreath,
 )
 from circulant import sring
-from circulant.zn import divisors, multiplicative_closure, multiplicative_order, unit_group
+from circulant.zn import (
+    MAX_MODULUS, divisors, multiplicative_closure, multiplicative_order, unit_group,
+    unit_orbits,
+)
 from circulant.sring import SRing, canonical_partition
 
 
@@ -85,28 +87,6 @@ def validate_message(n, partition):
     return None
 
 
-def batch_message(n, partitions):
-    try:
-        validate_batch(n, partitions)
-    except DomainError as exc:
-        return str(exc)
-    return None
-
-
-def check_batch(n, bad, valid, rng):
-    """A batch of valid partitions over Z_n with bad (any partition) and a
-    second corruption among them raises the message of the first that
-    fails, and returns the rings of validate when none does."""
-    before = [rng.choice(valid).cells for _ in range(rng.randint(0, 40))]
-    after = [rng.choice(valid).cells for _ in range(rng.randint(0, 5))]
-    later = merged_cells(rng.choice(valid), rng, 2)
-    batch = before + [bad] + after + [later]
-    expected = validate_message(n, bad) or validate_message(n, later)
-    assert batch_message(n, batch) == expected, (n, bad, later)
-    if expected is None:
-        assert validate_batch(n, batch) == [validate(n, cells) for cells in batch]
-
-
 def merged_cells(ring, rng, merges):
     """The cells of ring with random pairs of non-identity cells merged,
     and their negations merged alike, so the partition stays
@@ -138,15 +118,13 @@ def test_structure_check_matches_pairwise_oracle_on_catalogs():
     rings = [ring for n in range(1, 49) for ring in enumerate_srings(n)]
     for ring in rings:
         assert pairwise_check(ring.n, ring.cells) is None
-        assert validate(ring.n, ring.cells) == ring
-    rng, batch_rng = random.Random(20), random.Random(21)
+    rng = random.Random(20)
     invalid = 0
     for _ in range(1200):
         ring = rng.choice(rings)
         cells = merged_cells(ring, rng, rng.randint(1, 2))
         expected = pairwise_check(ring.n, cells)
         assert validate_message(ring.n, cells) == expected, (ring.n, cells)
-        check_batch(ring.n, cells, enumerate_srings(ring.n).entries, batch_rng)
         invalid += expected is not None
     assert invalid >= 800
 
@@ -160,46 +138,22 @@ def test_structure_check_matches_pairwise_oracle(n, rng, merges):
     ring = rng.choice(enumerate_srings(n).entries)
     cells = merged_cells(ring, rng, merges)
     assert validate_message(n, cells) == pairwise_check(n, cells)
-    check_batch(n, cells, enumerate_srings(n).entries, rng)
 
 
-def test_validate_batch_matches_validate_on_catalogs():
+def test_validate_accepts_every_catalog_ring():
+    # the closure builds its rings by construction and checks none, so the
+    # axioms of every catalog ring are checked here
     from circulant import enumerate_srings
 
     for n in range(1, 73):
-        entries = enumerate_srings(n).entries
-        # cells listed in reverse, so the batch canonicalizes them
-        rings = validate_batch(n, [ring.cells[::-1] for ring in entries])
-        assert rings == [validate(n, ring.cells) for ring in entries] == list(entries)
-
-
-def test_validate_batch_raises_for_the_first_bad_partition():
-    rng = random.Random(22)
-    for n, partition, message in BAD_PARTITIONS:
-        valid = [ring.cells for ring in (group_ring(n), rank2(n), cyclotomic(n, (-1,)))]
-        for _ in range(5):
-            before = rng.choices(valid, k=rng.randint(0, 3))
-            after = rng.choices(valid, k=rng.randint(0, 3))
-            assert batch_message(n, before + [partition] + after) == message
-    # of two bad partitions the first in input order decides, whichever
-    # axiom each fails
-    messages = {}
-    for n, partition, message in BAD_PARTITIONS:
-        if n == 4:
-            messages[message] = partition
-    for first, p in messages.items():
-        for second, q in messages.items():
-            assert batch_message(4, [[[0], [1, 3], [2]], p, q]) == first
-    structure_bad = BAD_PARTITIONS[-1][1]
-    for later in ([[0], [1]], [[0], [1, 7], [2, 6], [3, 5], [4], []],
-                  [[0], [1], [2, 3, 4, 5, 6, 7]], [[0], [1, 7], [2, 6], [3, 5], [3]]):
-        assert batch_message(8, [group_ring(8).cells, structure_bad, later]) \
-            == BAD_PARTITIONS[-1][2]
+        for ring in enumerate_srings(n):
+            # cells listed in reverse, so validate canonicalizes them
+            assert validate(n, ring.cells[::-1]) == ring
 
 
 def test_structure_check_matches_pairwise_oracle_on_large_rings():
-    # a ring beyond a slab is checked a chunk of rows at a time, and a rank
-    # above 181 needs int32 entries
+    # a large ring is checked a chunk of rows at a time, and a rank above
+    # 181 needs int32 entries
     cells = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
     expected = pairwise_check(200, cells)
     assert expected is not None
@@ -214,9 +168,9 @@ def test_structure_check_matches_pairwise_oracle_on_large_rings():
     assert validate_message(1201, cells) == expected
 
 
-def beyond_a_slab_rings(example12_fixture, rng):
-    """Rings with n * n above a slab: the Z_325 factor of example12, and
-    rank-2 and cyclotomic rings at random n in 257..700."""
+def large_rings(example12_fixture, rng):
+    """Large rings: the Z_325 factor of example12, and rank-2 and
+    cyclotomic rings at random n in 257..700."""
     # the cells of group_ring(300) above 150 have their least points there
     rings = [group_ring(300), example12_fixture.right]
     for n in rng.sample(range(257, 701), 8):
@@ -229,16 +183,13 @@ def beyond_a_slab_rings(example12_fixture, rng):
     return rings
 
 
-def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture):
-    # a ring with n * n above a slab is checked over the orbit minima of
-    # its cell-fixing units up to n/2 and that of the negated least point
-    # of each cell, and a failure is worded by the same check over every
-    # point
+def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture, control_ring):
+    # the rows of a large ring, some of whose cells have every point above
+    # n/2, give the verdict and the message of the pairwise check
     rng = random.Random(23)
-    rings = beyond_a_slab_rings(example12_fixture, rng)
+    rings = large_rings(example12_fixture, rng)
     assert any(cell[0] > 307 // 2 and len(cell) == 3 for cell in rings[-1].cells)
     assert example12_fixture.right.n == 325
-    assert all(ring.n ** 2 > sring._SLAB_ENTRIES for ring in rings)
     invalid = 0
     for ring in rings:
         for merges in (1, 2, 3):
@@ -247,12 +198,12 @@ def test_structure_check_beyond_a_slab_matches_pairwise_oracle(example12_fixture
             assert validate_message(ring.n, cells) == expected, (ring.n, cells)
             invalid += expected is not None
     assert invalid >= 40
-    ring = example12_fixture.ring
-    for merges in (1, 1, 2, 2):
-        cells = merged_cells(ring, rng, merges)
-        expected = pairwise_check(ring.n, cells)
-        assert expected is not None
-        assert validate_message(ring.n, cells) == expected
+    for ring in (example12_fixture.ring, control_ring):
+        for merges in (1, 1, 2, 2):
+            cells = merged_cells(ring, rng, merges)
+            expected = pairwise_check(ring.n, cells)
+            assert expected is not None
+            assert validate_message(ring.n, cells) == expected
 
 
 def test_structure_check_beyond_a_slab_sees_every_chunk():
@@ -273,7 +224,7 @@ def test_structure_check_beyond_a_slab_compares_rows_across_chunks(
     monkeypatch.setattr(sring, "_CHECK_ENTRIES", 1000)
     rng = random.Random(27)
     invalid = 0
-    rings = beyond_a_slab_rings(example12_fixture, rng)
+    rings = large_rings(example12_fixture, rng)
     assert {2 * ring.n > 1000 for ring in rings} == {False, True}
     for ring in rings:
         for merges in (1, 2, 3):
@@ -284,34 +235,26 @@ def test_structure_check_beyond_a_slab_compares_rows_across_chunks(
     assert invalid >= 40
 
 
-def spy_on_passes(monkeypatch):
-    """The points zs of each pass of rows over a ring beyond a slab, in
-    the order the passes run."""
-    failing_cell, passes = sring._failing_cell, []
-
-    def spy(cell, rank, zs):
-        passes.append(zs.tolist())
-        return failing_cell(cell, rank, zs)
-
-    monkeypatch.setattr(sring, "_failing_cell", spy)
-    return passes
-
-
 def test_structure_check_beyond_a_slab_returns_at_once_for_rank_two(monkeypatch):
     # a partition of rank 2 that passes the other axioms is {0} and the
     # rest, whose counts are constant, so rank2(3000) builds no rows
-    passes = spy_on_passes(monkeypatch)
+    failing_cell, passes = sring._failing_cell, []
+
+    def spy(ring):
+        passes.append(ring)
+        return failing_cell(ring)
+
+    monkeypatch.setattr(sring, "_failing_cell", spy)
     assert validate(3000, [[0], list(range(1, 3000))]) == rank2(3000)
     assert passes == []
-    # a failure is still worded by the least failing cell and its first Y,
-    # found by a second pass over every point, cell by cell
+    # a failure is worded by the least failing cell that one pass of rows
+    # finds, and its first Y
     n = 1201
     cells = [[0], [1, n - 1], list(range(2, n - 1))]
     expected = pairwise_check(n, cells)
     assert expected is not None and "X=cell1" in expected
     assert validate_message(n, cells) == expected
-    assert len(passes) == 2
-    assert passes[1] == [0, 1, n - 1] + list(range(2, n - 1))
+    assert len(passes) == 1
 
 
 @pytest.fixture(scope="module")
@@ -324,156 +267,17 @@ def generator_of_order(n, order):
     return next(u for u in unit_group(n) if multiplicative_order(n, u) == order)
 
 
-@pytest.fixture(scope="module")
-def multiplier_rings(example12_fixture, control_ring):
-    """Rings beyond a slab whose groups K of cell-fixing units range from
-    {1} to every unit: those of beyond_a_slab_rings, both Z_3575 rings
-    (|K| = 10 and 20), Cyc({+-1}, Z_2000), Cyc(<g>, Z_2003) for g of
-    order 1001 and 7, and rank2(3000) (K the 800 units of Z_3000)."""
-    rings = beyond_a_slab_rings(example12_fixture, random.Random(23))
-    rings += [example12_fixture.ring, control_ring, cyclotomic(2000, (-1,)), rank2(3000)]
-    rings += [cyclotomic(2003, (generator_of_order(2003, order),)) for order in (1001, 7)]
-    return rings
-
-
-def cell_maps(n, cells):
-    """cell[x], the index of x's cell, and least[x], its least point."""
-    cell, least = np.empty((2, n), dtype=np.int64)
-    for i, c in enumerate(cells):
-        cell[list(c)], least[list(c)] = i, min(c)
-    return cell, least
-
-
-def every_point_message(n, partition):
-    """The message of the structure-constant check of a ring beyond a slab
-    run over every z, or None if it passes; the other axioms must hold."""
-    ring = SRing(n, canonical_partition(partition))
-    cell, _ = cell_maps(n, ring.cells)
-    failing = sring._failing_cell(cell, ring.rank, np.concatenate(ring.cells))
-    if failing is None:
-        return None
-    with pytest.raises(DomainError) as exc:
-        sring._raise_first_failure(ring, failing)
-    return str(exc.value)
-
-
-def brute_force_multipliers(n, cells):
-    """K, every unit m with m * X = X for each cell X, tried one by one,
-    and the least point of each orbit K * x, as a minimum over K."""
-    cell, _ = cell_maps(n, cells)
-    points = np.arange(n)
-    group = [m for m in unit_group(n) if np.array_equal(cell[m * points % n], cell)]
-    rep = points.copy()
-    for m in group:
-        np.minimum(rep, m * points % n, out=rep)
-    return group, rep
-
-
-def screen_passing_partition():
-    """An inverse-closed partition of Z_399 whose cell of 1 is the group
-    <20, 113> (20^2 = 113^2 = 1 mod 399).  113 takes the least point of
-    every cell into its cell but moves {4, 80, -4, -80}, so K = {1, 20},
-    and 265 = 20 * 113 lies in the orbit of the failed 113."""
-    n, group = 399, (1, 20, 113, 265)
-    cell1 = {u % n for u in group}
-    cell2 = {2 * u % n for u in group} | {-2 * u % n for u in group} | {4, 80, n - 4, n - 80}
-    neg = {n - x for x in cell1}
-    return n, [[0], cell1, cell2, neg, set(range(1, n)) - cell1 - cell2 - neg]
-
-
-def test_structure_check_over_orbit_minima_matches_every_point(multiplier_rings):
-    # the check over one point per orbit of K gives the verdict and the
-    # message of the same check over every z; merging cells changes K
-    rng = random.Random(24)
-    partitions = [(ring.n, ring.cells) for ring in multiplier_rings]
-    partitions += [(ring.n, merged_cells(ring, rng, merges))
-                   for ring in multiplier_rings for merges in (1, 2, 3)]
-    partitions += [(1201, [[0], [x, 1201 - x], [y for y in range(1, 1201) if y not in (x, 1201 - x)]])
-                   for x in (1, 5, 200)]
-    partitions.append(screen_passing_partition())
-    invalid = 0
-    for n, cells in partitions:
-        expected = every_point_message(n, cells)
-        assert validate_message(n, cells) == expected, (n, cells)
-        invalid += expected is not None
-    assert invalid >= 60
-
-
-def test_cell_fixing_multipliers_match_brute_force(multiplier_rings):
-    rng = random.Random(25)
-    partitions = [(ring.n, merged_cells(ring, rng, merges))
-                  for ring in multiplier_rings for merges in (0, 1, 2, 3)]
-    partitions.append(screen_passing_partition())
-    orders = set()
-    for n, partition in partitions:
-        cells = canonical_partition(partition)
-        rep = sring._multiplier_orbit_minima(*cell_maps(n, cells))
-        group, expected = brute_force_multipliers(n, cells)
-        # the orbit of 1 is K itself
-        assert np.flatnonzero(rep == 1).tolist() == group, (n, cells)
-        assert np.array_equal(rep, expected), (n, cells)
-        orders.add(len(group))
-    assert {1, 2, 7, 10, 20, 800, 1001} <= orders
-    assert group == [1, 20]
-
-
-def test_join_powers_takes_the_minimum_over_every_power():
-    # rep joined with g, then with h, is the least point of each orbit of
-    # <g, h>, whatever the orders of g and h
-    rng = random.Random(26)
-    for n in rng.sample(range(257, 701), 6):
-        points = np.arange(n)
-        g, h = rng.sample(unit_group(n), 2)
-        rep = sring._join_powers(sring._join_powers(points, g * points % n), h * points % n)
-        group = multiplicative_closure(n, (g, h))
-        assert rep.tolist() == [min(k * x % n for k in group) for x in range(n)]
-
-
-def test_structure_check_beyond_a_slab_builds_rows_at_orbit_minima(
-        monkeypatch, example12_fixture, control_ring):
-    # the Z_3575 rings, with |K| = 10 and 20, build rows at 385 and 194
-    # points, not at the 1,831 of {0..n//2} and the negated least points
-    passes = spy_on_passes(monkeypatch)
-    for ring, points in ((example12_fixture.ring, 385), (control_ring, 194)):
-        passes.clear()
-        assert validate(ring.n, ring.cells) == ring
-        (zs,) = passes
-        assert len(set(zs)) == len(zs) == points
-
-
-def test_validate_batch_slab_edges():
-    from circulant import sring
-
-    # 200 * 200 entries fit in a slab of whole rings, and a rank above 181
-    # needs int32 entries
-    assert 200 * 200 <= sring._SLAB_ENTRIES < 1201 * 1201
-    bad = [[x] for x in range(200) if x not in (1, 199)] + [[1, 199]]
-    good = [group_ring(200), rank2(200), cyclotomic(200, (-1,)), cyclotomic(200, (3,))]
-    assert validate_batch(200, [ring.cells for ring in good]) == good
-    batch = [good[0].cells, good[2].cells, bad, good[1].cells]
-    assert batch_message(200, batch) == pairwise_check(200, bad)
-    # a ring too large for a slab is checked alone, a chunk of rows at a time
-    squares = sorted({x * x % 2017 for x in range(1, 2017)})
-    cells = [[0], squares, sorted(set(range(1, 2017)) - set(squares))]
-    assert validate_batch(2017, [cells, rank2(2017).cells]) == [validate(2017, cells), rank2(2017)]
-    bad = [[0], [5, 1196], [x for x in range(1, 1201) if x not in (5, 1196)]]
-    expected = pairwise_check(1201, bad)
-    assert expected is not None and "X=cell1" in expected
-    assert batch_message(1201, [rank2(1201).cells, bad, [[0]]]) == expected
-
-
 def test_validate_memory_is_bounded(example12_fixture, control_ring):
-    # no temporary grows with n, with cell size or with the group K of
-    # cell-fixing units (1001 of them for Cyc(<g>, Z_2003)): a few MB at n
-    # in the thousands
-    partition = [[0], list(range(1, 3000))]
+    # no temporary grows with n or with cell size (1001 points a cell for
+    # Cyc(<g>, Z_2003)): a few MB at n in the thousands
     g = generator_of_order(2003, 1001)
-    for build in (lambda: validate(3000, partition), lambda: cyclotomic(2000, (-1,)),
-                  lambda: validate(3575, example12_fixture.ring.cells),
-                  lambda: validate(3575, control_ring.cells), lambda: cyclotomic(2003, (g,))):
+    partitions = [(3000, [[0], list(range(1, 3000))]), (2000, unit_orbits(2000, (-1,))),
+                  (3575, example12_fixture.ring.cells), (3575, control_ring.cells),
+                  (2003, unit_orbits(2003, (g,)))]
+    for n, partition in partitions:
         tracemalloc.start()
         try:
-            build()
+            validate(n, partition)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,6 +315,10 @@ def test_tensor_examples():
     assert tensor(a, group_ring(1)) == a
     with pytest.raises(DomainError):
         tensor(rank2(4), rank2(6))
+    # coprime factors whose product is above the modulus bound
+    assert 317 * 331 > MAX_MODULUS
+    with pytest.raises(DomainError, match=f"modulus {317 * 331} exceeds the configured limit"):
+        tensor(rank2(317), rank2(331))
 
 
 def test_tensor_rank_multiplicative():

@@ -196,6 +196,31 @@ def test_ext_fixture_steps(z9_fixture):
     assert step2.cells == ((0,), (1, 4, 7), (2, 5, 8), (3,), (6,))
 
 
+def test_ext_products_pass_validate(monkeypatch):
+    # ext builds its tensor and its three generalized wreath products by
+    # construction; validate checks each of them, extending every ring with
+    # n <= 36 over each singular class by every ring over its section
+    from circulant import validate
+
+    products = []
+    for name in ("tensor", "generalized_wreath"):
+        def built(*args, build=getattr(structure, name)):
+            products.append(build(*args))
+            return products[-1]
+
+        monkeypatch.setattr(structure, name, built)
+    extensions = 0
+    for n in range(1, 37):
+        for ring in enumerate_srings(n):
+            for cl in singular_classes(ring):
+                for finer in enumerate_srings(cl.order):
+                    ext(ring, cl, finer)
+                    extensions += 1
+    assert extensions == 4007 and len(products) == 4 * extensions
+    for product in set(products):
+        assert validate(product.n, product.cells) == product
+
+
 def test_ext_requires_refinement(z9_fixture):
     classes = proj_classes(z9_fixture)
     c1 = class_by_smin(classes, 3, 1)
