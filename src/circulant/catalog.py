@@ -12,13 +12,19 @@ the closure keys each ring by the bytes of that map.  The key of a
 generalized wreath product needs no partition: it is
 scale * least_left[x // scale] at the points x of U (scale = n/u) and
 least_right[x mod n/l] elsewhere, one gather over the least-point rows of
-the factors' catalogs.
-A product is built and canonicalized only when its key is new; of the
-rings at n (seeds, then tensors, then generalized wreath products) the
-first with a key wins.  Every ring is an S-ring by construction (Schur's
-theorem for the seeds, the tensor theorem, and the generalized wreath
-theorem for factors paired by their section rings), so the closure runs
-no axiom check; the tests check every catalog ring with sring.validate.
+the factors' catalogs.  The factors are paired by least-point maps too:
+a left factor's ring on U/L is its quotient by L (Catalog.quotients), a
+right factor's its restriction to U/L (Catalog.restrictions), and each
+catalog computes both maps once per subgroup order.  The keys that are
+new are checked in one batch per section: the product's cells are
+numbered from the factors' cells, and the first point of each cell must
+be the key's least point.  The canonical cells of a product are then
+read off its key.  Of the rings at n (seeds, then tensors, then
+generalized wreath products) the first with a key wins.  Every ring is an
+S-ring by construction (Schur's theorem for the seeds, the tensor
+theorem, and the generalized wreath theorem for factors whose rings on
+U/L agree), so the closure runs no axiom check; the tests check every
+catalog ring with sring.validate.
 Completeness rests on the radical dichotomy (a ring is either a proper
 generalized wreath product or a tensor product of a normal ring and rank-2
 rings, and normal rings are cyclotomic) and is certified against the
@@ -27,8 +33,8 @@ brute-force oracle for n <= 13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -41,11 +47,9 @@ from .sring import (
     classify,
     cyclotomic,
     generalized_wreath,
-    generalized_wreath_partition,
     group_ring,
     rank2,
     section_ring,
-    subgroup_lattice,
     tensor_partition,
     validate,
 )
@@ -63,13 +67,33 @@ from .zn import (
 
 BRUTE_FORCE_MAX_N = 13
 ENUMERATE_MAX_N = 200
+# key entries per numpy batch of the closure, so that its temporaries stay
+# a few MB however many products a section pairs
+_BATCH_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
 class Catalog:
+    """The S-rings over Z_n, by rank and then cells, with how each was
+    found.
+
+    least_points[i] is the least-point map of entry i; the closure stacks
+    the keys it kept, and any other caller gets them derived from the
+    cells.  The section maps of restrictions and quotients are computed
+    once per subgroup order and kept in _sections, which the catalog
+    owns."""
+
     n: int
     entries: tuple[SRing, ...]
     provenance: tuple[str, ...]
+    least_points: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _sections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.least_points is None:
+            least = np.array([_least_points(self.n, ring.cells) for ring in self.entries],
+                             dtype=_key_dtype(self.n)).reshape(len(self), self.n)
+            object.__setattr__(self, "least_points", least)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -77,11 +101,45 @@ class Catalog:
     def __iter__(self):
         return iter(self.entries)
 
-    @cached_property
-    def least_points(self) -> np.ndarray:
-        """Row i is the least-point map of entry i."""
-        return np.array([_least_points(self.n, ring.cells) for ring in self.entries],
-                        dtype=_key_dtype(self.n)).reshape(len(self), self.n)
+    def restrictions(self, s: int) -> dict[bytes, list[int]]:
+        """The entries in which the subgroup H of order s is an A-subgroup,
+        bucketed by the bytes of the least-point map of their ring on H, as
+        a ring over Z_s: least[::n/s] // (n/s)."""
+        key = ("restrictions", s)
+        if key not in self._sections:
+            step = self.n // s
+            rows = _a_subgroup_rows(self.least_points, step)
+            maps = (self.least_points[rows, ::step] // step).astype(_key_dtype(s))
+            buckets: dict[bytes, list[int]] = {}
+            for j, row in zip(rows.tolist(), maps):
+                buckets.setdefault(row.tobytes(), []).append(j)
+            self._sections[key] = buckets
+        return self._sections[key]
+
+    def quotients(self, l: int) -> dict[int, bytes]:
+        """Entry i -> the bytes of the least-point map of its ring on
+        Z_n / L, as a ring over Z_s (s = n/l), for each entry in which the
+        subgroup L of order l is an A-subgroup.  The cell of x < s there is
+        the image mod s of x's cell, so its least point is
+        min{y mod s : y in cell(x)}."""
+        key = ("quotients", l)
+        if key not in self._sections:
+            s = self.n // l
+            rows = _a_subgroup_rows(self.least_points, s)
+            least = self.least_points[rows].astype(np.intp)
+            lowest = np.full(least.shape, s, dtype=np.intp)
+            np.minimum.at(lowest, (np.arange(len(rows))[:, None], least), np.arange(self.n) % s)
+            maps = np.take_along_axis(lowest, least[:, :s], axis=1).astype(_key_dtype(s))
+            self._sections[key] = {i: row.tobytes() for i, row in zip(rows.tolist(), maps)}
+        return self._sections[key]
+
+
+def _a_subgroup_rows(least: np.ndarray, step: int) -> np.ndarray:
+    """The rows whose ring has the subgroup generated by step as an
+    A-subgroup: x lies in it exactly when the least point of x's cell
+    does."""
+    inside = np.arange(least.shape[1]) % step == 0
+    return np.flatnonzero((inside == (least % step == 0)).all(axis=1))
 
 
 def _key_dtype(n: int) -> np.dtype:
@@ -95,6 +153,24 @@ def _least_points(n: int, cells) -> np.ndarray:
         for x in cell:
             least[x] = cell[0]
     return np.array(least, dtype=_key_dtype(n))
+
+
+def _cells_of(keys: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical cells of each least-point map in keys: the points
+    grouped by least point, in order of first appearance."""
+    n = keys.shape[1]
+    order = np.argsort(keys, axis=1, kind="stable")
+    starts = np.ones(keys.shape, dtype=bool)
+    least = np.take_along_axis(keys, order, axis=1)
+    starts[:, 1:] = least[:, 1:] != least[:, :-1]
+    ranks = starts.sum(axis=1).tolist()
+    bounds = np.nonzero(starts)[1].tolist()
+    out, k = [], 0
+    for points, rank in zip(order.tolist(), ranks):
+        cuts = bounds[k:k + rank] + [n]
+        k += rank
+        out.append(tuple(tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])))
+    return out
 
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:
@@ -139,8 +215,9 @@ def enumerate_srings(n: int, limit: int = ENUMERATE_MAX_N) -> Catalog:
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> Catalog:
     # least-point map bytes -> (cells, provenance) of each ring, seeds
-    # first, then tensors, then gwp; an equal key is the same ring
-    found: dict[bytes, tuple[tuple[tuple[int, ...], ...], str]] = {}
+    # first, then tensors, then gwp; an equal key is the same ring.  A gwp
+    # product's cells are read off its key at the end.
+    found: dict[bytes, tuple[tuple[tuple[int, ...], ...] | None, str]] = {}
 
     def add(cells, how: str) -> None:
         found.setdefault(_least_points(n, cells).tobytes(), (cells, how))
@@ -158,57 +235,84 @@ def _enumerate_cached(n: int) -> Catalog:
                 add(canonical_partition(tensor_partition(left, right)),
                     f"tensor({a}#{i},{b}#{j})")
 
-    for sec, i, js in _gwp_pairs(n):
+    rows = max(1, _BATCH_ENTRIES // n)
+    for sec, pairs in _gwp_pairs(n):
         u, l = sec.u, sec.l
-        cat_u, cat_q = _enumerate_cached(u), _enumerate_cached(n // l)
-        keys = _gwp_keys(cat_u.least_points[i], cat_q.least_points[js], sec)
-        for j, row in zip(js, keys):
+        left_ids = [i for i, js in pairs for _ in js]
+        right_ids = [j for _, js in pairs for j in js]
+        left_rows = _enumerate_cached(u).least_points[left_ids]
+        right_rows = _enumerate_cached(n // l).least_points[right_ids]
+        keys = _gwp_keys(left_rows, right_rows, sec)
+        new = []
+        for k, row in enumerate(keys):
             key = row.tobytes()
-            if key in found:
-                continue
-            cells = canonical_partition(
-                generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec))
-            assert np.array_equal(_least_points(n, cells), row), (sec, i, j)
-            found[key] = (cells, f"gwp(u={u},l={l},{u}#{i},{n // l}#{j})")
+            if key not in found:
+                found[key] = (None, f"gwp(u={u},l={l},{u}#{left_ids[k]},{n // l}#{right_ids[k]})")
+                new.append(k)
+        for start in range(0, len(new), rows):
+            batch = new[start:start + rows]
+            _check_gwp_keys(left_rows[batch], right_rows[batch], keys[batch], sec)
 
-    entries = sorted(((SRing(n, cells), how) for cells, how in found.values()),
-                     key=lambda e: (e[0].rank, e[0].cells))
-    return Catalog(n, tuple(ring for ring, _ in entries), tuple(how for _, how in entries))
+    keys = np.frombuffer(b"".join(found), dtype=_key_dtype(n)).reshape(len(found), n)
+    cells, how = map(list, zip(*found.values()))
+    products = [k for k, c in enumerate(cells) if c is None]
+    for start in range(0, len(products), rows):
+        batch = products[start:start + rows]
+        for k, c in zip(batch, _cells_of(keys[batch])):
+            cells[k] = c
+    order = sorted(range(len(found)), key=lambda k: (len(cells[k]), cells[k]))
+    return Catalog(n, tuple(SRing(n, cells[k]) for k in order),
+                   tuple(how[k] for k in order), keys[order])
 
 
 def _gwp_pairs(n: int):
     """The products the closure forms over Z_n: for each proper section
-    U/L (1 < l, u < n) and each left factor i over Z_u, (sec, i, js) with js
-    the right factors over Z_{n/l} that induce the same ring on U/L."""
-    for u in divisors(n):
-        if u == n:
-            continue
-        for l in divisors(u):
-            if l == 1:
-                continue
-            sec = Section(n, u, l)
-            # bucket by the induced ring on U/L to pair only matching factors
-            buckets: dict[SRing, list[int]] = {}
-            for j, right in enumerate(_enumerate_cached(n // l).entries):
-                if u // l in subgroup_lattice(right):
-                    key = section_ring(right, Section(n // l, u // l, 1))
-                    buckets.setdefault(key, []).append(j)
-            for i, left in enumerate(_enumerate_cached(u).entries):
-                if l in subgroup_lattice(left):
-                    js = buckets.get(section_ring(left, Section(u, u, l)))
-                    if js:
-                        yield sec, i, js
+    U/L (1 < l, u < n), (sec, pairs) with pairs the (i, js) such that the
+    right factors js over Z_{n/l} induce on U/L the same ring as the left
+    factor i over Z_u.  The left factor's ring there is its quotient by L
+    and the right factor's its restriction to U/L, so the two are paired by
+    their least-point maps."""
+    for u in divisors(n)[:-1]:
+        for l in divisors(u)[1:]:
+            buckets = _enumerate_cached(n // l).restrictions(u // l)
+            pairs = [(i, buckets[quotient])
+                     for i, quotient in _enumerate_cached(u).quotients(l).items()
+                     if quotient in buckets]
+            if pairs:
+                yield Section(n, u, l), pairs
 
 
-def _gwp_keys(left: np.ndarray, rights: np.ndarray, sec: Section) -> np.ndarray:
+def _gwp_keys(lefts: np.ndarray, rights: np.ndarray, sec: Section) -> np.ndarray:
     """The least-point maps of left wr_{U/L} right, one row per row of
-    rights, from the least-point maps of the factors: a point x of U (a
-    multiple of scale = n/u) has the least point scale * left[x // scale],
-    any other x that of its L-coset's cell, rights[x mod n/l]."""
+    lefts and rights (or per row of rights, for one left row), from the
+    least-point maps of the factors: a point x of U (a multiple of
+    scale = n/u) has the least point scale * left[x // scale], any other x
+    that of its L-coset's cell, right[x mod n/l]."""
     n, scale = sec.n, sec.n // sec.u
     keys = rights[:, np.arange(n) % (n // sec.l)].astype(_key_dtype(n))
-    keys[:, ::scale] = scale * left.astype(keys.dtype)
+    keys[:, ::scale] = scale * lefts.astype(keys.dtype)
     return keys
+
+
+def _check_gwp_keys(lefts: np.ndarray, rights: np.ndarray, keys: np.ndarray,
+                    sec: Section) -> None:
+    """Raise AssertionError unless each row of keys is the least-point map
+    of the product of the same rows of lefts and rights, built cell by
+    cell: a point x of U takes the left factor's cell of x // scale, any
+    other x the right factor's cell of x mod n/l, numbered past the left
+    factor's cells, and each cell's least point is the first point in it.
+    A cell is named by its factor's least point, so the left cells are
+    numbered below u."""
+    n, u = sec.n, sec.u
+    cells = rights[:, np.arange(n) % (n // sec.l)].astype(np.intp) + u
+    cells[:, ::n // u] = lefts
+    # number every row's cells apart, so one sort finds each first point
+    cells += (u + n // sec.l) * np.arange(len(cells))[:, None]
+    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    least = (first % n)[inverse.reshape(cells.shape)]
+    if not np.array_equal(least, keys):
+        raise AssertionError(f"a key gathered over {sec} is not the least-point map "
+                             "of its product")
 
 
 def brute_force_srings(n: int) -> Catalog:

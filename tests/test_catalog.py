@@ -194,6 +194,62 @@ def test_catalogs_up_to_72_are_pinned():
     assert digest.hexdigest().startswith("12bf3462f2c9433c")
 
 
+def oracle_gwp_pairs(n):
+    """The closure's pairing by section rings: for each proper section U/L
+    and each left factor i over Z_u, (sec, i, js) with js the right factors
+    over Z_{n/l} that induce the same ring on U/L, found with
+    subgroup_lattice and compared by section_ring."""
+    for u in divisors(n):
+        if u == n:
+            continue
+        for l in divisors(u):
+            if l == 1:
+                continue
+            sec = Section(n, u, l)
+            buckets = {}
+            for j, right in enumerate(enumerate_srings(n // l).entries):
+                if u // l in subgroup_lattice(right):
+                    key = section_ring(right, Section(n // l, u // l, 1))
+                    buckets.setdefault(key, []).append(j)
+            for i, left in enumerate(enumerate_srings(u).entries):
+                if l in subgroup_lattice(left):
+                    js = buckets.get(section_ring(left, Section(u, u, l)))
+                    if js:
+                        yield sec, i, js
+
+
+def gwp_triples(n):
+    from circulant import catalog
+
+    return [(sec, i, js) for sec, pairs in catalog._gwp_pairs(n) for i, js in pairs]
+
+
+def test_gwp_pairs_match_the_section_ring_oracle():
+    for n in range(1, 49):
+        assert gwp_triples(n) == list(oracle_gwp_pairs(n)), n
+
+
+def test_section_maps_are_least_point_maps_of_section_rings():
+    # every row of restrictions(s) and quotients(l) is the least-point map
+    # of the matching section ring, and the rows cover exactly the entries
+    # whose lattice has the subgroup
+    from circulant import catalog
+
+    for m in range(1, 49):
+        cat = enumerate_srings(m)
+        for d in divisors(m):
+            restricted = {j: row for row, js in cat.restrictions(d).items() for j in js}
+            quotient = cat.quotients(d)
+            for i, ring in enumerate(cat):
+                if d not in subgroup_lattice(ring):
+                    assert i not in restricted and i not in quotient, (m, d, i)
+                    continue
+                on_h = section_ring(ring, Section(m, d, 1))
+                on_g_mod_h = section_ring(ring, Section(m, m, d))
+                assert restricted[i] == catalog._least_points(d, on_h.cells).tobytes()
+                assert quotient[i] == catalog._least_points(m // d, on_g_mod_h.cells).tobytes()
+
+
 def test_gathered_keys_are_least_point_maps():
     # every product the closure pairs for n <= 48: the key gathered from
     # the factors' least-point rows is the least-point map of the product
@@ -204,7 +260,7 @@ def test_gathered_keys_are_least_point_maps():
 
     products = 0
     for n in range(2, 49):
-        for sec, i, js in catalog._gwp_pairs(n):
+        for sec, i, js in gwp_triples(n):
             cat_u, cat_q = enumerate_srings(sec.u), enumerate_srings(n // sec.l)
             keys = catalog._gwp_keys(cat_u.least_points[i], cat_q.least_points[js], sec)
             for j, key in zip(js, keys):
@@ -216,23 +272,41 @@ def test_gathered_keys_are_least_point_maps():
 
 
 def test_closure_builds_only_new_products(monkeypatch):
-    # one closure pass at n = 48 over cached smaller catalogs builds one
-    # gwp partition per gwp entry it keeps (5,702 before products were
-    # keyed by their least-point maps)
+    # one closure pass at n = 48 over cached smaller catalogs checks one
+    # gathered key per gwp entry it keeps (5,702 products were built before
+    # they were keyed by their least-point maps)
     from circulant import catalog
 
     cached = enumerate_srings(48)
-    calls = []
-    build = catalog.generalized_wreath_partition
+    checked = []
+    check = catalog._check_gwp_keys
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(lefts, rights, keys, sec):
+        checked.extend(keys)
+        return check(lefts, rights, keys, sec)
 
-    monkeypatch.setattr(catalog, "generalized_wreath_partition", counted)
+    monkeypatch.setattr(catalog, "_check_gwp_keys", counted)
     again = catalog._enumerate_cached.__wrapped__(48)
     assert again == cached
-    assert len(calls) == sum(how.startswith("gwp(") for how in cached.provenance) == 947
+    assert len(checked) == sum(how.startswith("gwp(") for how in cached.provenance) == 947
+
+
+def test_closure_rejects_a_wrong_gathered_key(monkeypatch):
+    # the runtime check rebuilds each new product from the factors' cells:
+    # one wrong entry in a gathered key fails the closure step at n = 48
+    from circulant import catalog
+
+    enumerate_srings(48)
+    gather = catalog._gwp_keys
+
+    def corrupted(lefts, rights, sec):
+        keys = gather(lefts, rights, sec)
+        keys[0, -1] = (keys[0, -1] + 1) % sec.n
+        return keys
+
+    monkeypatch.setattr(catalog, "_gwp_keys", corrupted)
+    with pytest.raises(AssertionError, match="not the least-point map"):
+        catalog._enumerate_cached.__wrapped__(48)
 
 
 def test_closure_validates_once_per_modulus(monkeypatch):

@@ -12,11 +12,13 @@ import pytest
 
 from circulant import (
     BudgetError,
+    Example12Params,
     Section,
     aut_group,
     brute_force_srings,
     cyclotomic,
     enumerate_srings,
+    example12,
     group_ring,
     is_normal,
     is_schurian,
@@ -288,6 +290,17 @@ def test_is_schurian_examples(z9_fixture):
     assert is_schurian(rank2(3575))
     with pytest.raises(BudgetError, match="n=5001 > 5000"):
         is_schurian(rank2(5001))
+
+
+def test_z3575_direct_verdicts(example12_fixture):
+    # the direct search at the default bounds finds the four-prime family
+    # non-schurian and its negative control schurian, the opposite of each
+    # ring's section certificate
+    control = example12(Example12Params().negative_control()).ring
+    for ring, schurian, order in ((example12_fixture.ring, False, 112198814467775750),
+                                  (control, True, 224397628935551500)):
+        assert is_schurian(ring) is schurian
+        assert aut_group(ring).order() == order
 
 
 def test_closure_inequality():
