@@ -7,24 +7,27 @@ rank-2 ring as seeds, then closes under tensor products over coprime
 splittings and generalized wreath products over proper sections (1 < l,
 u < n).  Both closure operations consume only catalogs of smaller moduli,
 so one pass per modulus reaches the fixpoint.  A partition of Z_n is
-determined by its least-point map, x -> the least point of x's cell, so
-the closure keys each ring by the bytes of that map.  The key of a
-generalized wreath product needs no partition: it is
-scale * least_left[x // scale] at the points x of U (scale = n/u) and
-least_right[x mod n/l] elsewhere, one gather over the least-point rows of
-the factors' catalogs.  The factors are paired by least-point maps too:
-a left factor's ring on U/L is its quotient by L (Catalog.quotients), a
-right factor's its restriction to U/L (Catalog.restrictions), and each
-catalog computes both maps once per subgroup order.  The keys that are
-new are checked in one batch per section: the product's cells are
-numbered from the factors' cells, and the first point of each cell must
-be the key's least point.  The canonical cells of a product are then
-read off its key.  Of the rings at n (seeds, then tensors, then
-generalized wreath products) the first with a key wins.  Every ring is an
-S-ring by construction (Schur's theorem for the seeds, the tensor
-theorem, and the generalized wreath theorem for factors whose rings on
-U/L agree), so the closure runs no axiom check; the tests check every
-catalog ring with sring.validate.
+determined by its least-point map, x -> the least point of x's cell, and
+every ring at n enters the closure as that map: a row of least points,
+keyed by its bytes, with no partition built.  The row of Cyc(K, Z_n) is
+x -> min{k * x mod n : k in K}.  A tensor product over n = a * b names
+the cell of x by the pair (least_left[x mod a], least_right[x mod b]),
+and its row maps x to the first point of the same name.  A generalized
+wreath product's row is scale * least_left[x // scale] at the points x
+of U (scale = n/u) and least_right[x mod n/l] elsewhere, one gather over
+the least-point rows of the factors' catalogs.  The factors are paired
+by least-point maps too: a left factor's ring on U/L is its quotient by
+L (Catalog.quotients), a right factor's its restriction to U/L
+(Catalog.restrictions), and each catalog computes both maps once per
+subgroup order.  The gwp rows that are new are checked in one batch per
+section: the product's cells are numbered from the factors' cells, and
+the first point of each cell must be the row's least point.  Of the rows
+at n (seeds, then tensors, then generalized wreath products) the first
+of each ring is kept, and the cells of every ring kept are read off its
+row in one place.  Every ring is an S-ring by construction (Schur's
+theorem for the seeds, the tensor theorem, and the generalized wreath
+theorem for factors whose rings on U/L agree), so the closure runs no
+axiom check; the tests check every catalog ring with sring.validate.
 Completeness rests on the radical dichotomy (a ring is either a proper
 generalized wreath product or a tensor product of a normal ring and rank-2
 rings, and normal rings are cyclotomic) and is certified against the
@@ -41,18 +44,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, is_normal, is_schurian
-from .sring import (
-    SRing,
-    canonical_partition,
-    classify,
-    cyclotomic,
-    generalized_wreath,
-    group_ring,
-    rank2,
-    section_ring,
-    tensor_partition,
-    validate,
-)
+from .sring import (SRing, classify, cyclotomic, generalized_wreath, group_ring, section_ring,
+                    validate)
 from .zn import (
     Section,
     big_omega,
@@ -62,7 +55,6 @@ from .zn import (
     is_prime,
     multiplicative_order,
     unit_group,
-    unit_orbits,
 )
 
 BRUTE_FORCE_MAX_N = 13
@@ -158,44 +150,54 @@ def _least_points(n: int, cells) -> np.ndarray:
 def _cells_of(keys: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
     """The canonical cells of each least-point map in keys: the points
     grouped by least point, in order of first appearance."""
-    n = keys.shape[1]
     order = np.argsort(keys, axis=1, kind="stable")
     starts = np.ones(keys.shape, dtype=bool)
     least = np.take_along_axis(keys, order, axis=1)
     starts[:, 1:] = least[:, 1:] != least[:, :-1]
-    ranks = starts.sum(axis=1).tolist()
-    bounds = np.nonzero(starts)[1].tolist()
+    # one split of all rows' points, in row order, then cells by row
+    cuts = np.flatnonzero(starts).tolist() + [keys.size]
+    points = order.ravel().tolist()
+    cells = [tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])]
     out, k = [], 0
-    for points, rank in zip(order.tolist(), ranks):
-        cuts = bounds[k:k + rank] + [n]
+    for rank in starts.sum(axis=1).tolist():
+        out.append(tuple(cells[k:k + rank]))
         k += rank
-        out.append(tuple(tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])))
     return out
 
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:
-    """All subgroups of (Z/n)*, by closing the cyclic subgroups under
-    joins.  The group is abelian, so the join of a and b is the product
-    a * b."""
-    units = unit_group(n)
+    """All subgroups of (Z/n)*.  Each is a join of cyclic subgroups of
+    prime-power order, so those are closed under joins.  Each cyclic
+    subgroup <u> is built once, from the first of its generators u^k (k
+    prime to |<u>|).  The group is abelian, so the join of a and <g> is the
+    union of the cosets a * g^k up to the first g^k in a."""
     if n <= 2:
         return [frozenset({1 % n})]
-    cyclic = set()
-    for u in units:
+    cyclic, done = [], set()
+    for u in unit_group(n):
+        if u in done:
+            continue
         powers, x = [1], u
         while x != 1:
             powers.append(x)
             x = x * u % n
-        cyclic.add(frozenset(powers))
-    subgroups = set(cyclic)
-    frontier = set(cyclic)
+        m = len(powers)
+        done.update(x for k, x in enumerate(powers) if gcd(k, m) == 1)
+        if m == 1 or m == divisors(m)[1] ** big_omega(m):
+            cyclic.append((u, frozenset(powers)))
+    subgroups = {b for _, b in cyclic}
+    frontier = set(subgroups)
     while frontier:
         new = set()
         for a in frontier:
-            for b in cyclic:
-                if b <= a:
+            for g, _ in cyclic:
+                if g in a:
                     continue
-                joined = frozenset(x * y % n for x in a for y in b)
+                joined, h = set(a), g
+                while h not in a:
+                    joined.update(x * h % n for x in a)
+                    h = h * g % n
+                joined = frozenset(joined)
                 if joined not in subgroups:
                     subgroups.add(joined)
                     new.add(joined)
@@ -214,28 +216,40 @@ def enumerate_srings(n: int, limit: int = ENUMERATE_MAX_N) -> Catalog:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> Catalog:
-    # least-point map bytes -> (cells, provenance) of each ring, seeds
-    # first, then tensors, then gwp; an equal key is the same ring.  A gwp
-    # product's cells are read off its key at the end.
-    found: dict[bytes, tuple[tuple[tuple[int, ...], ...] | None, str]] = {}
+    # every ring at n enters as a row of least points, keyed by its bytes:
+    # the seeds, rank 2, then tensors by (a, i, j), then gwp products.  The
+    # first key of a ring wins, and found maps it to the ring's provenance;
+    # the cells of every ring kept are read off its key at the end.
+    dtype = _key_dtype(n)
+    size = n * dtype.itemsize
+    found: dict[bytes, str] = {}
 
-    def add(cells, how: str) -> None:
-        found.setdefault(_least_points(n, cells).tobytes(), (cells, how))
+    def keep(keys: np.ndarray, how) -> list[int]:
+        """Add each row of keys not found yet, named how(k) for row k, and
+        return the indices of those rows."""
+        blob, new = keys.astype(dtype, copy=False).tobytes(), []
+        for k in range(len(keys)):
+            key = blob[k * size:(k + 1) * size]
+            if key not in found:
+                found[key] = how(k)
+                new.append(k)
+        return new
 
-    for K in _unit_subgroups(n):
-        add(unit_orbits(n, tuple(sorted(K))), f"seed:cyc({sorted(K)})")
-    add(rank2(n).cells, "seed:rank2")
+    subgroups = [sorted(K) for K in _unit_subgroups(n)]
+    keep(_seed_keys(n, subgroups), lambda k: f"seed:cyc({subgroups[k]})")
+    keep(np.minimum(np.arange(n), 1)[None], lambda k: "seed:rank2")
 
+    rows = max(1, _BATCH_ENTRIES // n)
     for a in divisors(n):
         b = n // a
         if a <= 1 or b <= 1 or a > b or gcd(a, b) != 1:
             continue
-        for i, left in enumerate(_enumerate_cached(a).entries):
-            for j, right in enumerate(_enumerate_cached(b).entries):
-                add(canonical_partition(tensor_partition(left, right)),
-                    f"tensor({a}#{i},{b}#{j})")
+        lefts, rights = _enumerate_cached(a).least_points, _enumerate_cached(b).least_points
+        pairs = len(lefts) * len(rights)
+        for start in range(0, pairs, rows):
+            i, j = np.divmod(np.arange(start, min(start + rows, pairs)), len(rights))
+            keep(_tensor_keys(lefts[i], rights[j]), lambda k: f"tensor({a}#{i[k]},{b}#{j[k]})")
 
-    rows = max(1, _BATCH_ENTRIES // n)
     for sec, pairs in _gwp_pairs(n):
         u, l = sec.u, sec.l
         left_ids = [i for i, js in pairs for _ in js]
@@ -243,26 +257,46 @@ def _enumerate_cached(n: int) -> Catalog:
         left_rows = _enumerate_cached(u).least_points[left_ids]
         right_rows = _enumerate_cached(n // l).least_points[right_ids]
         keys = _gwp_keys(left_rows, right_rows, sec)
-        new = []
-        for k, row in enumerate(keys):
-            key = row.tobytes()
-            if key not in found:
-                found[key] = (None, f"gwp(u={u},l={l},{u}#{left_ids[k]},{n // l}#{right_ids[k]})")
-                new.append(k)
+        new = keep(keys, lambda k: f"gwp(u={u},l={l},{u}#{left_ids[k]},{n // l}#{right_ids[k]})")
         for start in range(0, len(new), rows):
             batch = new[start:start + rows]
             _check_gwp_keys(left_rows[batch], right_rows[batch], keys[batch], sec)
 
-    keys = np.frombuffer(b"".join(found), dtype=_key_dtype(n)).reshape(len(found), n)
-    cells, how = map(list, zip(*found.values()))
-    products = [k for k, c in enumerate(cells) if c is None]
-    for start in range(0, len(products), rows):
-        batch = products[start:start + rows]
-        for k, c in zip(batch, _cells_of(keys[batch])):
-            cells[k] = c
+    keys = np.frombuffer(b"".join(found), dtype=dtype).reshape(len(found), n)
+    cells = [c for start in range(0, len(keys), rows) for c in _cells_of(keys[start:start + rows])]
+    how = list(found.values())
     order = sorted(range(len(found)), key=lambda k: (len(cells[k]), cells[k]))
     return Catalog(n, tuple(SRing(n, cells[k]) for k in order),
                    tuple(how[k] for k in order), keys[order])
+
+
+def _seed_keys(n: int, subgroups: list[list[int]]) -> np.ndarray:
+    """The least-point map of Cyc(K, Z_n) for each subgroup K of units:
+    x -> min{k * x mod n : k in K}, the least point of x's K-orbit."""
+    units = np.array([k for K in subgroups for k in K])
+    starts = np.cumsum([0] + [len(K) for K in subgroups[:-1]])
+    return np.minimum.reduceat(units[:, None] * np.arange(n) % n, starts, axis=0)
+
+
+def _tensor_keys(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The least-point maps of the tensor products of the rows of lefts
+    (over Z_a) and rights (over Z_b), row by row.  Under the CRT embedding
+    of tensor_partition, x lies in cell(x mod a) x cell(x mod b), so the
+    pair of least points left[x mod a], right[x mod b] names its cell."""
+    a, b = lefts.shape[1], rights.shape[1]
+    x = np.arange(a * b)
+    return _first_points(lefts[:, x % a].astype(np.intp) * b + rights[:, x % b])
+
+
+def _first_points(cells: np.ndarray) -> np.ndarray:
+    """Row by row, x -> the first point whose cell id equals x's: the
+    least-point map of the partition that the non-negative ids of each
+    row name."""
+    n = cells.shape[1]
+    # number every row's cells apart, so one sort finds each first point
+    offset = cells + (int(cells.max()) + 1) * np.arange(len(cells))[:, None]
+    _, first, inverse = np.unique(offset, return_index=True, return_inverse=True)
+    return (first % n)[inverse.reshape(cells.shape)]
 
 
 def _gwp_pairs(n: int):
@@ -306,11 +340,7 @@ def _check_gwp_keys(lefts: np.ndarray, rights: np.ndarray, keys: np.ndarray,
     n, u = sec.n, sec.u
     cells = rights[:, np.arange(n) % (n // sec.l)].astype(np.intp) + u
     cells[:, ::n // u] = lefts
-    # number every row's cells apart, so one sort finds each first point
-    cells += (u + n // sec.l) * np.arange(len(cells))[:, None]
-    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-    least = (first % n)[inverse.reshape(cells.shape)]
-    if not np.array_equal(least, keys):
+    if not np.array_equal(_first_points(cells), keys):
         raise AssertionError(f"a key gathered over {sec} is not the least-point map "
                              "of its product")
 

@@ -113,12 +113,6 @@ def rolled_cells(ring: SRing, dtype, points: np.ndarray | None = None) -> np.nda
                                            writeable=False)
 
 
-def color_matrix(ring: SRing) -> np.ndarray:
-    """D[g, h] = index of the basic set containing h - g, as uint16."""
-    # row g is cell_of rolled right by g, which is rolled left by n - g
-    return rolled_cells(ring, np.uint16)[ring.n:0:-1].copy()
-
-
 def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 

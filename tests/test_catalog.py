@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -366,3 +367,88 @@ def test_closure_memory_is_bounded():
         tracemalloc.stop()
     assert again == cached
     assert peak < 4 * 2**20
+
+
+def test_seed_rows_are_least_point_maps_of_unit_orbits():
+    # for every n <= 200, the seed row of each unit subgroup K, from one
+    # batched reduction, is the least-point map of Cyc(K, Z_n)'s orbits
+    import numpy as np
+
+    from circulant import catalog
+    from circulant.zn import unit_orbits
+
+    rows = 0
+    for n in range(1, catalog.ENUMERATE_MAX_N + 1):
+        subgroups = [sorted(K) for K in catalog._unit_subgroups(n)]
+        for K, row in zip(subgroups, catalog._seed_keys(n, subgroups), strict=True):
+            expected = catalog._least_points(n, unit_orbits(n, tuple(K)))
+            assert np.array_equal(row, expected), (n, K)
+            rows += 1
+    assert rows > 3000
+
+
+def tensor_row_mismatches(rows_of, limit):
+    """(n, i, j) for each coprime split n = a * b <= limit (1 < a < b) and
+    each pair of rings whose row from rows_of(lefts, rights), one call per
+    split, is not the least-point map of their tensor partition."""
+    import numpy as np
+
+    from circulant import catalog
+    from circulant.sring import tensor_partition
+
+    for n in range(2, limit + 1):
+        for a in divisors(n)[1:]:
+            b = n // a
+            if a >= b or math.gcd(a, b) != 1:
+                continue
+            lefts, rights = enumerate_srings(a), enumerate_srings(b)
+            left_ids, right_ids = np.divmod(np.arange(len(lefts) * len(rights)), len(rights))
+            rows = rows_of(lefts.least_points[left_ids], rights.least_points[right_ids])
+            for row, i, j in zip(rows, left_ids.tolist(), right_ids.tolist(), strict=True):
+                cells = canonical_partition(tensor_partition(lefts.entries[i], rights.entries[j]))
+                if not np.array_equal(row, catalog._least_points(n, cells)):
+                    yield n, i, j
+
+
+def test_tensor_rows_are_least_point_maps_of_tensor_partitions():
+    from circulant import catalog
+
+    assert list(tensor_row_mismatches(catalog._tensor_keys, 100)) == []
+
+
+def test_tensor_rows_with_swapped_crt_components_fail():
+    # mutation check of the test above: each factor's row read at the other
+    # factor's residue of x (reduced into range) keys other partitions
+    import numpy as np
+
+    from circulant import catalog
+
+    def swapped(lefts, rights):
+        a, b = lefts.shape[1], rights.shape[1]
+        x = np.arange(a * b)
+        return catalog._first_points(lefts[:, x % b % a].astype(np.intp) * b + rights[:, x % a])
+
+    assert next(tensor_row_mismatches(swapped, 100), None) == (6, 0, 0)
+
+
+def test_closure_builds_no_partition(monkeypatch):
+    # every ring enters the closure as a row of least points: the catalogs
+    # 1..40, rebuilt from an empty cache, call none of the partition
+    # builders, wherever a circulant module binds them
+    import sys
+
+    from circulant import catalog
+
+    catalogs = [enumerate_srings(n) for n in range(1, 41)]
+
+    def refuse(*args):
+        raise AssertionError(f"partition built from {args!r:.60}")
+
+    names = ("unit_orbits", "tensor_partition", "canonical_partition")
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("circulant"):
+            for name in names:
+                if hasattr(module, name) or module is catalog:
+                    monkeypatch.setattr(module, name, refuse, raising=False)
+    catalog._enumerate_cached.cache_clear()
+    assert [enumerate_srings(n) for n in range(1, 41)] == catalogs

@@ -49,7 +49,6 @@ from circulant.scheme import (
     _preserves_colors,
     _StabilizerSearch,
     _aut_group_cached,
-    color_matrix,
     rolled_cells,
 )
 from circulant.sring import SRing
@@ -63,6 +62,13 @@ SEARCH_DIGEST_N30 = "feb684fa2aca772f"
 # nodes the search visits over the same rings, trying the aligned map at
 # every off-path node (30563 for _FullDescentSearch)
 SEARCH_NODES_N30 = 5466
+
+
+def color_matrix(ring):
+    """D[g, h] = index of the basic set containing h - g, as uint16: the
+    colour table of the scheme, the oracle of the search's rolled rows."""
+    # row g is cell_of rolled right by g, which is rolled left by n - g
+    return rolled_cells(ring, np.uint16)[ring.n:0:-1].copy()
 
 
 def cells_of(part):

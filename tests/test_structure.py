@@ -31,7 +31,6 @@ from circulant import structure
 from circulant.perm import PermGroup, difference_classes, groups_equal, kernel_on_blocks
 from circulant.structure import ProjClass, _pair_is_isolated
 from circulant.zn import is_prime
-from circulant.scheme import color_matrix
 import numpy as np
 
 
@@ -304,7 +303,9 @@ def test_gwr_group_preserves_all_colors(z9_fixture):
              generalized_wreath(cyclotomic(20, (3,)), cyclotomic(10, (3,)),
                                 Section(40, 20, 4))]
     for ring in rings:
-        D = color_matrix(ring)
+        # D[g, h] = the cell of h - g
+        x = np.arange(ring.n)
+        D = np.array(ring.cell_of)[(x[None, :] - x[:, None]) % ring.n]
         for cl in proj_classes(ring):
             if not cl.isolated or cl.order <= 1:
                 continue

@@ -22,7 +22,6 @@ LIBRARY = ROOT / "src" / "circulant"
 
 # public names kept with no caller outside the tests, and why
 KEPT = {
-    "color_matrix": "the colour-table oracle of the automorphism search tests",
     "canonical_gwp": "the paper's generalized wreath product of permutation groups",
     "groups_equal": "exact equality of two permutation groups, how the tests compare groups",
     "kernel_on_blocks": "public kernel of a block action, read from the chain canonical_gwp builds",
