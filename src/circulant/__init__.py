@@ -8,7 +8,6 @@ from .zn import (
     divisors,
     is_multiple,
     is_prime,
-    subgroup_elements,
     unit_orbits,
 )
 from .sring import (
@@ -67,7 +66,7 @@ from .catalog import (
 __all__ = [
     "BudgetError", "DomainError",
     "Section", "big_omega", "divisors", "is_multiple", "is_prime",
-    "subgroup_elements", "unit_orbits",
+    "unit_orbits",
     "Classification", "SRing", "classify", "cyclotomic", "generalized_wreath",
     "group_ring", "radical", "radical_of_set", "rank2",
     "section_ring", "subgroup_lattice", "tensor", "validate", "wreath",

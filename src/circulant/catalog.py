@@ -6,25 +6,20 @@ The enumeration builds, per divisor m of n: all cyclotomic rings and the
 rank-2 ring as seeds, then closes under tensor products over coprime
 splittings and generalized wreath products over proper sections (1 < l,
 u < n).  Both closure operations consume only catalogs of smaller moduli,
-so one pass per modulus reaches the fixpoint.  A partition of Z_n is
-determined by its least-point map, x -> the least point of x's cell, and
-every ring at n enters the closure as that map: a row of least points,
-keyed by its bytes, with no partition built.  The row of Cyc(K, Z_n) is
-x -> min{k * x mod n : k in K}.  A tensor product over n = a * b names
-the cell of x by the pair (least_left[x mod a], least_right[x mod b]),
-and its row maps x to the first point of the same name.  A generalized
-wreath product's row is scale * least_left[x // scale] at the points x
-of U (scale = n/u) and least_right[x mod n/l] elsewhere, one gather over
-the least-point rows of the factors' catalogs.  The factors are paired
-by least-point maps too: a left factor's ring on U/L is its quotient by
-L (Catalog.quotients), a right factor's its restriction to U/L
-(Catalog.restrictions), and each catalog computes both maps once per
-subgroup order.  The gwp rows that are new are checked in one batch per
-section: the product's cells are numbered from the factors' cells, and
-the first point of each cell must be the row's least point.  Of the rows
-at n (seeds, then tensors, then generalized wreath products) the first
-of each ring is kept, and the cells of every ring kept are read off its
-row in one place.  Every ring is an S-ring by construction (Schur's
+so one pass per modulus reaches the fixpoint.  The closure only
+orchestrates: every ring at n enters it as its least-point row, keyed by
+its bytes, with no partition built, and every row comes from sring's row
+functions, run over whole catalogs at once (Catalog.least_points stacks a
+catalog's rows).  The factors of a generalized wreath product are paired
+by their rings on U/L: a left factor's quotient row by L
+(Catalog.quotients) against a right factor's restriction row to U/L
+(Catalog.restrictions), which each catalog computes once per subgroup
+order.  The gwp rows that are new are checked in one batch per section:
+the product's cells are numbered from the factors' cells, and the first
+point of each cell must be the row's least point.  Of the rows at n
+(seeds, then tensors, then generalized wreath products) the first of
+each ring is kept, and the cells of every ring kept are read off its row
+in one place.  Every ring is an S-ring by construction (Schur's
 theorem for the seeds, the tensor theorem, and the generalized wreath
 theorem for factors whose rings on U/L agree), so the closure runs no
 axiom check; the tests check every catalog ring with sring.validate.
@@ -44,8 +39,9 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, is_normal, is_schurian
-from .sring import (SRing, classify, cyclotomic, generalized_wreath, group_ring, section_ring,
-                    validate)
+from .sring import (SRing, _cells_of, _cyclotomic_rows, _first_points, _gwp_rows, _is_a_subgroup,
+                    _key_dtype, _quotient_rows, _restriction_rows, _tensor_rows, classify,
+                    cyclotomic, generalized_wreath, group_ring, section_ring, validate)
 from .zn import (
     Section,
     big_omega,
@@ -69,11 +65,10 @@ class Catalog:
     """The S-rings over Z_n, by rank and then cells, with how each was
     found.
 
-    least_points[i] is the least-point map of entry i; the closure stacks
-    the keys it kept, and any other caller gets them derived from the
-    cells.  The section maps of restrictions and quotients are computed
-    once per subgroup order and kept in _sections, which the catalog
-    owns."""
+    least_points[i] is the least-point row of entry i; the closure stacks
+    the keys it kept, and any other caller gets the entries' rows.  The
+    section rows of restrictions and quotients are computed once per
+    subgroup order and kept in _sections, which the catalog owns."""
 
     n: int
     entries: tuple[SRing, ...]
@@ -83,7 +78,7 @@ class Catalog:
 
     def __post_init__(self) -> None:
         if self.least_points is None:
-            least = np.array([_least_points(self.n, ring.cells) for ring in self.entries],
+            least = np.array([ring.least_points for ring in self.entries],
                              dtype=_key_dtype(self.n)).reshape(len(self), self.n)
             object.__setattr__(self, "least_points", least)
 
@@ -95,74 +90,26 @@ class Catalog:
 
     def restrictions(self, s: int) -> dict[bytes, list[int]]:
         """The entries in which the subgroup H of order s is an A-subgroup,
-        bucketed by the bytes of the least-point map of their ring on H, as
-        a ring over Z_s: least[::n/s] // (n/s)."""
+        bucketed by the bytes of the least-point row of their ring on H."""
         key = ("restrictions", s)
         if key not in self._sections:
-            step = self.n // s
-            rows = _a_subgroup_rows(self.least_points, step)
-            maps = (self.least_points[rows, ::step] // step).astype(_key_dtype(s))
+            rows = np.flatnonzero(_is_a_subgroup(self.least_points, self.n // s))
             buckets: dict[bytes, list[int]] = {}
-            for j, row in zip(rows.tolist(), maps):
+            for j, row in zip(rows.tolist(), _restriction_rows(self.least_points[rows], s)):
                 buckets.setdefault(row.tobytes(), []).append(j)
             self._sections[key] = buckets
         return self._sections[key]
 
     def quotients(self, l: int) -> dict[int, bytes]:
-        """Entry i -> the bytes of the least-point map of its ring on
-        Z_n / L, as a ring over Z_s (s = n/l), for each entry in which the
-        subgroup L of order l is an A-subgroup.  The cell of x < s there is
-        the image mod s of x's cell, so its least point is
-        min{y mod s : y in cell(x)}."""
+        """Entry i -> the bytes of the least-point row of its ring on
+        Z_n / L, for each entry in which the subgroup L of order l is an
+        A-subgroup."""
         key = ("quotients", l)
         if key not in self._sections:
-            s = self.n // l
-            rows = _a_subgroup_rows(self.least_points, s)
-            least = self.least_points[rows].astype(np.intp)
-            lowest = np.full(least.shape, s, dtype=np.intp)
-            np.minimum.at(lowest, (np.arange(len(rows))[:, None], least), np.arange(self.n) % s)
-            maps = np.take_along_axis(lowest, least[:, :s], axis=1).astype(_key_dtype(s))
+            rows = np.flatnonzero(_is_a_subgroup(self.least_points, self.n // l))
+            maps = _quotient_rows(self.least_points[rows], l)
             self._sections[key] = {i: row.tobytes() for i, row in zip(rows.tolist(), maps)}
         return self._sections[key]
-
-
-def _a_subgroup_rows(least: np.ndarray, step: int) -> np.ndarray:
-    """The rows whose ring has the subgroup generated by step as an
-    A-subgroup: x lies in it exactly when the least point of x's cell
-    does."""
-    inside = np.arange(least.shape[1]) % step == 0
-    return np.flatnonzero((inside == (least % step == 0)).all(axis=1))
-
-
-def _key_dtype(n: int) -> np.dtype:
-    return np.min_scalar_type(n - 1)
-
-
-def _least_points(n: int, cells) -> np.ndarray:
-    """least[x] = the least point of x's cell, for canonical cells."""
-    least = [0] * n
-    for cell in cells:
-        for x in cell:
-            least[x] = cell[0]
-    return np.array(least, dtype=_key_dtype(n))
-
-
-def _cells_of(keys: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    """The canonical cells of each least-point map in keys: the points
-    grouped by least point, in order of first appearance."""
-    order = np.argsort(keys, axis=1, kind="stable")
-    starts = np.ones(keys.shape, dtype=bool)
-    least = np.take_along_axis(keys, order, axis=1)
-    starts[:, 1:] = least[:, 1:] != least[:, :-1]
-    # one split of all rows' points, in row order, then cells by row
-    cuts = np.flatnonzero(starts).tolist() + [keys.size]
-    points = order.ravel().tolist()
-    cells = [tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])]
-    out, k = [], 0
-    for rank in starts.sum(axis=1).tolist():
-        out.append(tuple(cells[k:k + rank]))
-        k += rank
-    return out
 
 
 def _unit_subgroups(n: int) -> list[frozenset[int]]:
@@ -236,7 +183,7 @@ def _enumerate_cached(n: int) -> Catalog:
         return new
 
     subgroups = [sorted(K) for K in _unit_subgroups(n)]
-    keep(_seed_keys(n, subgroups), lambda k: f"seed:cyc({subgroups[k]})")
+    keep(_cyclotomic_rows(n, subgroups), lambda k: f"seed:cyc({subgroups[k]})")
     keep(np.minimum(np.arange(n), 1)[None], lambda k: "seed:rank2")
 
     rows = max(1, _BATCH_ENTRIES // n)
@@ -248,7 +195,7 @@ def _enumerate_cached(n: int) -> Catalog:
         pairs = len(lefts) * len(rights)
         for start in range(0, pairs, rows):
             i, j = np.divmod(np.arange(start, min(start + rows, pairs)), len(rights))
-            keep(_tensor_keys(lefts[i], rights[j]), lambda k: f"tensor({a}#{i[k]},{b}#{j[k]})")
+            keep(_tensor_rows(lefts[i], rights[j]), lambda k: f"tensor({a}#{i[k]},{b}#{j[k]})")
 
     for sec, pairs in _gwp_pairs(n):
         u, l = sec.u, sec.l
@@ -256,7 +203,7 @@ def _enumerate_cached(n: int) -> Catalog:
         right_ids = [j for _, js in pairs for j in js]
         left_rows = _enumerate_cached(u).least_points[left_ids]
         right_rows = _enumerate_cached(n // l).least_points[right_ids]
-        keys = _gwp_keys(left_rows, right_rows, sec)
+        keys = _gwp_rows(left_rows, right_rows, sec)
         new = keep(keys, lambda k: f"gwp(u={u},l={l},{u}#{left_ids[k]},{n // l}#{right_ids[k]})")
         for start in range(0, len(new), rows):
             batch = new[start:start + rows]
@@ -268,35 +215,6 @@ def _enumerate_cached(n: int) -> Catalog:
     order = sorted(range(len(found)), key=lambda k: (len(cells[k]), cells[k]))
     return Catalog(n, tuple(SRing(n, cells[k]) for k in order),
                    tuple(how[k] for k in order), keys[order])
-
-
-def _seed_keys(n: int, subgroups: list[list[int]]) -> np.ndarray:
-    """The least-point map of Cyc(K, Z_n) for each subgroup K of units:
-    x -> min{k * x mod n : k in K}, the least point of x's K-orbit."""
-    units = np.array([k for K in subgroups for k in K])
-    starts = np.cumsum([0] + [len(K) for K in subgroups[:-1]])
-    return np.minimum.reduceat(units[:, None] * np.arange(n) % n, starts, axis=0)
-
-
-def _tensor_keys(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """The least-point maps of the tensor products of the rows of lefts
-    (over Z_a) and rights (over Z_b), row by row.  Under the CRT embedding
-    of tensor_partition, x lies in cell(x mod a) x cell(x mod b), so the
-    pair of least points left[x mod a], right[x mod b] names its cell."""
-    a, b = lefts.shape[1], rights.shape[1]
-    x = np.arange(a * b)
-    return _first_points(lefts[:, x % a].astype(np.intp) * b + rights[:, x % b])
-
-
-def _first_points(cells: np.ndarray) -> np.ndarray:
-    """Row by row, x -> the first point whose cell id equals x's: the
-    least-point map of the partition that the non-negative ids of each
-    row name."""
-    n = cells.shape[1]
-    # number every row's cells apart, so one sort finds each first point
-    offset = cells + (int(cells.max()) + 1) * np.arange(len(cells))[:, None]
-    _, first, inverse = np.unique(offset, return_index=True, return_inverse=True)
-    return (first % n)[inverse.reshape(cells.shape)]
 
 
 def _gwp_pairs(n: int):
@@ -314,18 +232,6 @@ def _gwp_pairs(n: int):
                      if quotient in buckets]
             if pairs:
                 yield Section(n, u, l), pairs
-
-
-def _gwp_keys(lefts: np.ndarray, rights: np.ndarray, sec: Section) -> np.ndarray:
-    """The least-point maps of left wr_{U/L} right, one row per row of
-    lefts and rights (or per row of rights, for one left row), from the
-    least-point maps of the factors: a point x of U (a multiple of
-    scale = n/u) has the least point scale * left[x // scale], any other x
-    that of its L-coset's cell, right[x mod n/l]."""
-    n, scale = sec.n, sec.n // sec.u
-    keys = rights[:, np.arange(n) % (n // sec.l)].astype(_key_dtype(n))
-    keys[:, ::scale] = scale * lefts.astype(keys.dtype)
-    return keys
 
 
 def _check_gwp_keys(lefts: np.ndarray, rights: np.ndarray, keys: np.ndarray,

@@ -5,6 +5,15 @@ cell sorted ascending, cells ordered by minimum element.  Canonical form
 defines equality and hashing, and every constructor canonicalizes on
 output.
 
+The constructions and queries compute on least-point rows, and this
+module owns them: a partition of Z_n is determined by x -> the least
+point of x's cell, a row of n integers (SRing.least_points, derived from
+the cells when first read).  Each row function takes a stack of rows, so
+the catalog closure runs it over whole catalogs and the public functions
+run it on one ring.  A section ring is the quotient row of a restriction
+row, and generalized_wreath pairs its factors by comparing the left
+factor's quotient row with the right factor's restriction row.
+
 One rule divides the work: validate checks a partition from outside the
 program, and every constructor builds its S-ring directly from S-ring
 inputs, by a theorem that makes the result an S-ring.  validate checks
@@ -29,15 +38,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError
-from .zn import (
-    Section,
-    check_modulus,
-    crt_idempotents,
-    divisors,
-    is_unit,
-    subgroup_elements,
-    unit_orbits,
-)
+from .zn import Section, check_modulus, divisors, is_unit, unit_orbits
 
 
 def canonical_partition(partition) -> tuple[tuple[int, ...], ...]:
@@ -69,6 +70,17 @@ class SRing:
             for x in cell:
                 idx[x] = i
         return tuple(idx)
+
+    @cached_property
+    def least_points(self) -> np.ndarray:
+        """least_points[x] = the least point of x's basic set, read-only."""
+        least = [0] * self.n
+        for cell in self.cells:
+            for x in cell:
+                least[x] = cell[0]
+        row = np.array(least, dtype=_key_dtype(self.n))
+        row.flags.writeable = False
+        return row
 
     def refines(self, other: "SRing") -> bool:
         """True if every cell of self lies inside a cell of other (self >= other)."""
@@ -271,22 +283,16 @@ def tensor(a1: SRing, a2: SRing) -> SRing:
     if gcd(n1, n2) != 1:
         raise DomainError(f"tensor factors must have coprime moduli, got {n1}, {n2}")
     check_modulus(n1 * n2)
-    return SRing(n1 * n2, canonical_partition(tensor_partition(a1, a2)))
-
-
-def tensor_partition(a1: SRing, a2: SRing) -> list[tuple[int, ...]]:
-    """The basic sets of tensor(a1, a2), neither checked nor canonical."""
-    n = a1.n * a2.n
-    e1, e2 = crt_idempotents(a1.n, a2.n)
-    return [tuple((x1 * e1 + x2 * e2) % n for x1 in X1 for x2 in X2)
-            for X1 in a1.cells for X2 in a2.cells]
+    return SRing(n1 * n2, _cells_of(_tensor_rows(a1.least_points[None], a2.least_points[None]))[0])
 
 
 def section_ring(ring: SRing, sec: Section) -> SRing:
     """The induced ring on the section U/L, as an S-ring over Z_{u/l}.
 
     Requires U and L to be A-groups; cells are the projections of the
-    basic sets contained in U.
+    basic sets contained in U, read off the quotient row by L of the
+    restriction row to U, and a DomainError is raised unless they
+    partition Z_{u/l}.
     """
     if sec.n != ring.n:
         raise DomainError(f"section over Z_{sec.n} does not match ring over Z_{ring.n}")
@@ -297,22 +303,39 @@ def section_ring(ring: SRing, sec: Section) -> SRing:
 
 @lru_cache(maxsize=65536)
 def _section_ring_cached(ring: SRing, sec: Section) -> SRing:
+    inside, row = _section_rows(ring, sec)
+    _check_section_images(inside, row)
+    return SRing(sec.order, _cells_of(row[None])[0])
+
+
+def _section_rows(ring: SRing, sec: Section) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the ring restricted to U and of its quotient by L, the
+    ring on U/L if _check_section_images passes; U and L must be
+    A-subgroups (DomainError otherwise)."""
     lattice = subgroup_lattice(ring)
     if sec.u not in lattice or sec.l not in lattice:
         raise DomainError(
             f"not an A-section: orders ({sec.u}, {sec.l}) not both in the lattice {lattice}")
-    # U is an A-group, so a basic set lies in U when its least point does;
-    # x in U projects to (x / (n/u)) mod u/l
-    scale, order = ring.n // sec.u, sec.order
-    images = {tuple(sorted({x // scale % order for x in cell}))
-              for cell in ring.cells if cell[0] % scale == 0}
-    covered = [0] * order
-    for img in images:
-        for x in img:
-            covered[x] += 1
-    if any(c != 1 for c in covered):
+    inside = _restriction_rows(ring.least_points[None], sec.u)[0]
+    return inside, (inside if sec.l == 1 else _quotient_rows(inside[None], sec.l)[0])
+
+
+def _check_section_images(inside: np.ndarray, row: np.ndarray) -> None:
+    """DomainError unless the images of the basic sets of the ring on U
+    (row inside) partition Z_{u/l}.  They do when each maps into the cell
+    of its least point in row (their quotient), and the pairs (basic set,
+    L-coset) that meet, counted column by column of U's points listed
+    coset by coset, are as many as those cells hold together."""
+    order = len(row)
+    if order == len(inside):
+        return
+    y = np.arange(len(inside))
+    target = row[y % order]
+    columns = np.sort(inside.reshape(-1, order), axis=0)
+    pairs = order + np.count_nonzero(columns[1:] != columns[:-1])
+    if not ((target[inside] == target).all()
+            and pairs == np.bincount(row, minlength=order)[target[inside == y]].sum()):
         raise DomainError("section images of basic sets do not form a partition")
-    return SRing(order, canonical_partition(images))
 
 
 def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:
@@ -336,29 +359,15 @@ def generalized_wreath(a1: SRing, a2: SRing, sec: Section) -> SRing:
             raise DomainError("degenerate section G/1 requires equal factors")
         return a1
 
-    s1 = section_ring(a1, Section(u, u, l))
-    s2 = section_ring(a2, Section(n // l, u // l, 1))
-    if s1 != s2:
+    inside, left = _section_rows(a1, Section(u, u, l))
+    _check_section_images(inside, left)
+    if not np.array_equal(left, _section_rows(a2, Section(n // l, u // l, 1))[1]):
+        s1 = section_ring(a1, Section(u, u, l))
+        s2 = section_ring(a2, Section(n // l, u // l, 1))
         raise DomainError(
             "section rings differ on U/L: "
             f"restriction of left factor gives {s1.cells}, of right factor {s2.cells}")
-
-    return SRing(n, canonical_partition(generalized_wreath_partition(a1, a2, sec)))
-
-
-def generalized_wreath_partition(a1: SRing, a2: SRing, sec: Section) -> list[tuple[int, ...]]:
-    """The basic sets of generalized_wreath(a1, a2, sec), neither checked
-    nor canonical: the image of a1's cells in U, then the preimage mod L of
-    each cell of a2 outside U/L."""
-    n, u, l = sec.n, sec.u, sec.l
-    scale = n // u
-    cells = [tuple(x * scale % n for x in cell) for cell in a1.cells]
-    step = n // l  # generator of L inside Z_n
-    for cell in a2.cells:
-        if all(x % scale == 0 for x in cell):
-            continue  # inside the image of U; covered by a1
-        cells.append(tuple((x + k * step) % n for x in cell for k in range(l)))
-    return cells
+    return SRing(n, _cells_of(_gwp_rows(a1.least_points[None], a2.least_points[None], sec))[0])
 
 
 def wreath(a1: SRing, a2: SRing, n: int) -> SRing:
@@ -395,30 +404,20 @@ def radical(ring: SRing) -> int:
 @lru_cache(maxsize=65536)
 def subgroup_lattice(ring: SRing) -> tuple[int, ...]:
     """Orders d | n whose subgroup is a union of basic sets, sorted ascending."""
-    n = ring.n
-    out = []
-    for d in divisors(n):
-        sub = subgroup_elements(n, d)
-        if all(set(ring.cells[i]) <= sub
-               for i in {ring.cell_of[x] for x in sub}):
-            out.append(d)
-    return tuple(out)
+    orders = divisors(ring.n)
+    steps = ring.n // np.array(orders)[:, None]
+    return tuple(d for d, a in zip(orders, _is_a_subgroup(ring.least_points, steps).tolist()) if a)
 
 
 def s_condition_holds(ring: SRing, u: int, l: int) -> bool:
     """Whether every basic set outside U is a union of L-cosets
-    (the U/L-condition; U and L are assumed to be A-groups)."""
-    n = ring.n
+    (the U/L-condition; U and L are assumed to be A-groups): whether
+    x + n/l lies in x's basic set wherever x lies outside U."""
     if l == 1:
         return True
-    step = n // l
-    for cell in ring.cells:
-        if cell[0] % (n // u) == 0 and all(x % (n // u) == 0 for x in cell):
-            continue
-        members = set(cell)
-        if any((x + step) % n not in members for x in cell):
-            return False
-    return True
+    n, least = ring.n, ring.least_points
+    outside = np.flatnonzero(least % (n // u))
+    return bool(np.array_equal(least[outside], least[(outside + n // l) % n]))
 
 
 @dataclass(frozen=True)
@@ -451,3 +450,98 @@ def classify(ring: SRing) -> Classification:
         trivial_radical=(radical(ring) == 1),
         proper_gwp_sections=tuple(sorted(sections)),
     )
+
+
+# --- least-point rows ---------------------------------------------------------
+# Each function takes a stack of rows, one per ring, and answers row by row.
+
+
+def _key_dtype(n: int) -> np.dtype:
+    """The narrowest dtype of a row over Z_n that also holds n, so that a
+    row divides and multiplies by any divisor of n in its own dtype."""
+    return np.min_scalar_type(n)
+
+
+def _cells_of(rows: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical cells of each row: the points grouped by least point,
+    in order of first appearance."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    starts = np.ones(rows.shape, dtype=bool)
+    least = np.sort(rows, axis=1)
+    starts[:, 1:] = least[:, 1:] != least[:, :-1]
+    # one split of all rows' points, in row order, then cells by row
+    cuts = np.flatnonzero(starts).tolist() + [rows.size]
+    points = order.ravel().tolist()
+    cells = [tuple(points[a:b]) for a, b in zip(cuts, cuts[1:])]
+    out, k = [], 0
+    for rank in starts.sum(axis=1).tolist():
+        out.append(tuple(cells[k:k + rank]))
+        k += rank
+    return out
+
+
+def _first_points(ids: np.ndarray) -> np.ndarray:
+    """Row by row, x -> the first point whose cell id equals x's: the row
+    of the partition that the non-negative ids of each row name."""
+    k, n = ids.shape
+    # number every row's cells apart, so one pass finds each first point
+    width = int(ids.max()) + 1
+    cells = ids + width * np.arange(k)[:, None]
+    first = np.full(k * width, n, dtype=np.intp)
+    np.minimum.at(first, cells.ravel(), np.tile(np.arange(n), k))
+    return first[cells]
+
+
+def _cyclotomic_rows(n: int, subgroups: list[list[int]]) -> np.ndarray:
+    """The row of Cyc(K, Z_n) for each subgroup K of units:
+    x -> min{k * x mod n : k in K}, the least point of x's K-orbit."""
+    units = np.array([k for K in subgroups for k in K])
+    starts = np.cumsum([0] + [len(K) for K in subgroups[:-1]])
+    return np.minimum.reduceat(units[:, None] * np.arange(n) % n, starts, axis=0)
+
+
+def _tensor_rows(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The rows of the tensor products of the rows of lefts (over Z_a) and
+    rights (over Z_b), row by row.  Under tensor's CRT embedding x lies in
+    cell(x mod a) x cell(x mod b), so the pair of least points
+    left[x mod a], right[x mod b] names its cell."""
+    a, b = lefts.shape[1], rights.shape[1]
+    x = np.arange(a * b)
+    return _first_points(lefts[:, x % a].astype(np.intp) * b + rights[:, x % b])
+
+
+def _gwp_rows(lefts: np.ndarray, rights: np.ndarray, sec: Section) -> np.ndarray:
+    """The rows of left wr_{U/L} right, one per row of lefts and rights (or
+    per row of rights, for one left row): a point x of U (a multiple of
+    scale = n/u) has the least point scale * left[x // scale], any other x
+    that of its L-coset's cell, right[x mod n/l]."""
+    n, scale = sec.n, sec.n // sec.u
+    rows = rights[:, np.arange(n) % (n // sec.l)].astype(_key_dtype(n))
+    rows[:, ::scale] = scale * lefts.astype(rows.dtype)
+    return rows
+
+
+def _is_a_subgroup(rows: np.ndarray, step: int) -> np.ndarray:
+    """Whether the subgroup generated by step (by each of a column of
+    steps) is an A-subgroup of each row's ring: whether x lies in it
+    exactly when x's least point does."""
+    inside = np.arange(rows.shape[-1]) % step == 0
+    return (inside == (rows % step == 0)).all(axis=-1)
+
+
+def _restriction_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """The rows of the rings on the A-subgroup of order d, over Z_d."""
+    step = rows.shape[1] // d
+    return (rows[:, ::step] // step).astype(_key_dtype(d))
+
+
+def _quotient_rows(rows: np.ndarray, l: int) -> np.ndarray:
+    """The rows of the quotients by the A-subgroup L of order l, over
+    Z_s (s = n/l).  The cell of x < s there is the image mod s of x's
+    cell, so its least point is min{y mod s : y in cell(x)}."""
+    n = rows.shape[1]
+    s = n // l
+    k = np.arange(len(rows))[:, None]
+    lowest = np.full(rows.shape, s, dtype=np.intp)
+    np.minimum.at(lowest, (k, rows), np.arange(n) % s)
+    return lowest[k, rows[:, :s]].astype(_key_dtype(s))

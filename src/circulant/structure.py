@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from .errors import BudgetError, DomainError
 from .perm import (
     Perm,
@@ -25,14 +27,14 @@ from .perm import (
 from .scheme import DEFAULT_AUT_MAX_N, DEFAULT_NODE_BUDGET, aut_group
 from .sring import (
     SRing,
-    canonical_partition,
+    _section_rows,
+    _tensor_rows,
     group_ring,
     s_condition_holds,
     section_ring,
     subgroup_lattice,
     generalized_wreath,
     tensor,
-    tensor_partition,
 )
 from .zn import Section, is_multiple, is_prime
 
@@ -73,10 +75,13 @@ def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
     both section conditions, and the ring induced on U1/L0 is the product
     of the rings induced on L1/L0 and U0/L0.
 
-    The tensor partition embeds the factors through the CRT idempotents,
-    not as the subgroups L1/L0 and U0/L0 of U1/L0; the two embeddings
-    differ by a unit multiplier on each factor, and by Schur's theorem on
-    multipliers every unit multiplier fixes an S-ring over a cyclic group."""
+    The product is tensor(left, right), compared by its least-point row,
+    which sring's _tensor_rows computes from the factors' rows: it embeds the factors through the CRT idempotents, not as the subgroups
+    L1/L0 and U0/L0 of U1/L0; the two embeddings differ by a unit
+    multiplier on each factor, and by Schur's theorem on multipliers every
+    unit multiplier fixes an S-ring over a cyclic group.  The factors'
+    orders are coprime, as gcd(l1, u0) = l0 for a projectively equivalent
+    pair."""
     l1, l0 = s_min.u, s_min.l
     u1, u0 = s_max.u, s_max.l
     if not (s_condition_holds(ring, u0, l0) and s_condition_holds(ring, u1, l1)):
@@ -84,7 +89,8 @@ def _pair_is_isolated(ring: SRing, s_min: Section, s_max: Section) -> bool:
     mid = section_ring(ring, Section(ring.n, u1, l0))
     left = section_ring(ring, s_min)
     right = section_ring(ring, Section(ring.n, u0, l0))
-    return mid.cells == canonical_partition(tensor_partition(left, right))
+    return np.array_equal(mid.least_points,
+                          _tensor_rows(left.least_points[None], right.least_points[None])[0])
 
 
 def proj_classes(ring: SRing) -> list[ProjClass]:
@@ -127,14 +133,16 @@ def _proj_classes_cached(ring: SRing) -> tuple[ProjClass, ...]:
         if not all(is_multiple(m, s_min) and is_multiple(s_max, m) for m in members):
             raise AssertionError(
                 f"class without extremal elements: {[(m.u, m.l) for m in members]}")
-        order = s_min.order
-        ring_s = section_ring(ring, s_min)
-        primitive = order > 1 and subgroup_lattice(ring_s) == (1, order)
-        singular = (ring_s.rank == 2 and order > 2
-                    and _pair_is_isolated(ring, s_min, s_max))
+        # the ring on s_min = U/L has a basic set per least point of its
+        # row, and its A-subgroups are the H/L with H an A-subgroup of the
+        # ring between L and U
+        order, (u, l) = s_min.order, (s_min.u, s_min.l)
+        rank = len(set(_section_rows(ring, s_min)[1].tolist()))
+        primitive = order > 1 and not any(l < d < u and u % d == 0 == d % l for d in lattice)
+        singular = rank == 2 and order > 2 and _pair_is_isolated(ring, s_min, s_max)
         out.append(ProjClass(
             sections=tuple(members), s_min=s_min, s_max=s_max, order=order,
-            rank=ring_s.rank, primitive=primitive, singular=singular, ring=ring,
+            rank=rank, primitive=primitive, singular=singular, ring=ring,
         ))
     out.sort(key=ProjClass.sort_key)
     return tuple(out)

@@ -55,15 +55,6 @@ def is_prime(n: int) -> bool:
     return n > 1 and big_omega(n) == 1
 
 
-def subgroup_elements(n: int, d: int) -> frozenset[int]:
-    """The unique subgroup of order d in Z_n, as a set of residues."""
-    check_modulus(n)
-    if d < 1 or n % d != 0:
-        raise DomainError(f"{d} is not a divisor of {n}")
-    step = n // d
-    return frozenset(range(0, n, step))
-
-
 @dataclass(frozen=True)
 class Section:
     """The section U/L of Z_n with |U| = u and |L| = l, where l | u | n.

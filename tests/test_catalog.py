@@ -24,6 +24,14 @@ from circulant import (
 )
 from circulant.sring import canonical_partition
 from circulant.zn import divisors, multiplicative_order, unit_group
+from oracles import (
+    generalized_wreath_partition,
+    lattice,
+    least_points,
+    row_layer_mismatches,
+    section_partition,
+    tensor_partition,
+)
 
 
 def test_brute_force_counts():
@@ -198,8 +206,8 @@ def test_catalogs_up_to_72_are_pinned():
 def oracle_gwp_pairs(n):
     """The closure's pairing by section rings: for each proper section U/L
     and each left factor i over Z_u, (sec, i, js) with js the right factors
-    over Z_{n/l} that induce the same ring on U/L, found with
-    subgroup_lattice and compared by section_ring."""
+    over Z_{n/l} that induce the same ring on U/L, found with the set
+    lattice and compared by the set projections of the oracles."""
     for u in divisors(n):
         if u == n:
             continue
@@ -209,12 +217,12 @@ def oracle_gwp_pairs(n):
             sec = Section(n, u, l)
             buckets = {}
             for j, right in enumerate(enumerate_srings(n // l).entries):
-                if u // l in subgroup_lattice(right):
-                    key = section_ring(right, Section(n // l, u // l, 1))
+                if u // l in lattice(right):
+                    key = section_partition(right, Section(n // l, u // l, 1))
                     buckets.setdefault(key, []).append(j)
             for i, left in enumerate(enumerate_srings(u).entries):
-                if l in subgroup_lattice(left):
-                    js = buckets.get(section_ring(left, Section(u, u, l)))
+                if l in lattice(left):
+                    js = buckets.get(section_partition(left, Section(u, u, l)))
                     if js:
                         yield sec, i, js
 
@@ -232,9 +240,9 @@ def test_gwp_pairs_match_the_section_ring_oracle():
 
 def test_section_maps_are_least_point_maps_of_section_rings():
     # every row of restrictions(s) and quotients(l) is the least-point map
-    # of the matching section ring, and the rows cover exactly the entries
-    # whose lattice has the subgroup
-    from circulant import catalog
+    # of the matching section ring's set projection, and the rows cover
+    # exactly the entries whose set lattice has the subgroup
+    from circulant.sring import _key_dtype
 
     for m in range(1, 49):
         cat = enumerate_srings(m)
@@ -242,32 +250,32 @@ def test_section_maps_are_least_point_maps_of_section_rings():
             restricted = {j: row for row, js in cat.restrictions(d).items() for j in js}
             quotient = cat.quotients(d)
             for i, ring in enumerate(cat):
-                if d not in subgroup_lattice(ring):
+                if d not in lattice(ring):
                     assert i not in restricted and i not in quotient, (m, d, i)
                     continue
-                on_h = section_ring(ring, Section(m, d, 1))
-                on_g_mod_h = section_ring(ring, Section(m, m, d))
-                assert restricted[i] == catalog._least_points(d, on_h.cells).tobytes()
-                assert quotient[i] == catalog._least_points(m // d, on_g_mod_h.cells).tobytes()
+                on_h = section_partition(ring, Section(m, d, 1))
+                on_g_mod_h = section_partition(ring, Section(m, m, d))
+                assert restricted[i] == least_points(d, on_h).astype(_key_dtype(d)).tobytes()
+                assert quotient[i] == least_points(m // d, on_g_mod_h).astype(
+                    _key_dtype(m // d)).tobytes()
 
 
 def test_gathered_keys_are_least_point_maps():
     # every product the closure pairs for n <= 48: the key gathered from
     # the factors' least-point rows is the least-point map of the product
+    # built cell by cell
     import numpy as np
 
-    from circulant import catalog
-    from circulant.sring import canonical_partition, generalized_wreath_partition
+    from circulant import sring
 
     products = 0
     for n in range(2, 49):
         for sec, i, js in gwp_triples(n):
             cat_u, cat_q = enumerate_srings(sec.u), enumerate_srings(n // sec.l)
-            keys = catalog._gwp_keys(cat_u.least_points[i], cat_q.least_points[js], sec)
+            keys = sring._gwp_rows(cat_u.least_points[i], cat_q.least_points[js], sec)
             for j, key in zip(js, keys):
-                cells = canonical_partition(
-                    generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec))
-                assert np.array_equal(key, catalog._least_points(n, cells)), (sec, i, j)
+                cells = generalized_wreath_partition(cat_u.entries[i], cat_q.entries[j], sec)
+                assert np.array_equal(key, least_points(n, cells)), (sec, i, j)
                 products += 1
     assert products > 5702
 
@@ -298,14 +306,14 @@ def test_closure_rejects_a_wrong_gathered_key(monkeypatch):
     from circulant import catalog
 
     enumerate_srings(48)
-    gather = catalog._gwp_keys
+    gather = catalog._gwp_rows
 
     def corrupted(lefts, rights, sec):
         keys = gather(lefts, rights, sec)
         keys[0, -1] = (keys[0, -1] + 1) % sec.n
         return keys
 
-    monkeypatch.setattr(catalog, "_gwp_keys", corrupted)
+    monkeypatch.setattr(catalog, "_gwp_rows", corrupted)
     with pytest.raises(AssertionError, match="not the least-point map"):
         catalog._enumerate_cached.__wrapped__(48)
 
@@ -374,15 +382,14 @@ def test_seed_rows_are_least_point_maps_of_unit_orbits():
     # batched reduction, is the least-point map of Cyc(K, Z_n)'s orbits
     import numpy as np
 
-    from circulant import catalog
+    from circulant import catalog, sring
     from circulant.zn import unit_orbits
 
     rows = 0
     for n in range(1, catalog.ENUMERATE_MAX_N + 1):
         subgroups = [sorted(K) for K in catalog._unit_subgroups(n)]
-        for K, row in zip(subgroups, catalog._seed_keys(n, subgroups), strict=True):
-            expected = catalog._least_points(n, unit_orbits(n, tuple(K)))
-            assert np.array_equal(row, expected), (n, K)
+        for K, row in zip(subgroups, sring._cyclotomic_rows(n, subgroups), strict=True):
+            assert np.array_equal(row, least_points(n, unit_orbits(n, tuple(K)))), (n, K)
             rows += 1
     assert rows > 3000
 
@@ -393,9 +400,6 @@ def tensor_row_mismatches(rows_of, limit):
     split, is not the least-point map of their tensor partition."""
     import numpy as np
 
-    from circulant import catalog
-    from circulant.sring import tensor_partition
-
     for n in range(2, limit + 1):
         for a in divisors(n)[1:]:
             b = n // a
@@ -405,15 +409,15 @@ def tensor_row_mismatches(rows_of, limit):
             left_ids, right_ids = np.divmod(np.arange(len(lefts) * len(rights)), len(rights))
             rows = rows_of(lefts.least_points[left_ids], rights.least_points[right_ids])
             for row, i, j in zip(rows, left_ids.tolist(), right_ids.tolist(), strict=True):
-                cells = canonical_partition(tensor_partition(lefts.entries[i], rights.entries[j]))
-                if not np.array_equal(row, catalog._least_points(n, cells)):
+                cells = tensor_partition(lefts.entries[i], rights.entries[j])
+                if not np.array_equal(row, least_points(n, cells)):
                     yield n, i, j
 
 
 def test_tensor_rows_are_least_point_maps_of_tensor_partitions():
-    from circulant import catalog
+    from circulant import sring
 
-    assert list(tensor_row_mismatches(catalog._tensor_keys, 100)) == []
+    assert list(tensor_row_mismatches(sring._tensor_rows, 100)) == []
 
 
 def test_tensor_rows_with_swapped_crt_components_fail():
@@ -421,20 +425,55 @@ def test_tensor_rows_with_swapped_crt_components_fail():
     # factor's residue of x (reduced into range) keys other partitions
     import numpy as np
 
-    from circulant import catalog
+    from circulant import sring
 
     def swapped(lefts, rights):
         a, b = lefts.shape[1], rights.shape[1]
         x = np.arange(a * b)
-        return catalog._first_points(lefts[:, x % b % a].astype(np.intp) * b + rights[:, x % a])
+        return sring._first_points(lefts[:, x % b % a].astype(np.intp) * b + rights[:, x % a])
 
     assert next(tensor_row_mismatches(swapped, 100), None) == (6, 0, 0)
+
+
+def test_row_layer_matches_the_oracles():
+    # the public functions, which compute on least-point rows, against the
+    # set and tuple builders on every catalog ring with n <= 48 (CI runs
+    # the same comparison up to n = 100)
+    from collections import Counter
+
+    counts = Counter()
+    assert list(row_layer_mismatches(48, counts)) == []
+    assert counts == {"rings": 3061, "sections": 60602, "tensors": 435, "products": 10456}
+
+
+def test_row_layer_oracles_see_a_quotient_read_at_x_div_s(monkeypatch):
+    # mutation check of the test above: a quotient row that reads x's image
+    # at x // s in place of x mod s gives other section rings
+    import numpy as np
+
+    from circulant import sring
+
+    def mutated(rows, l):
+        n = rows.shape[1]
+        s = n // l
+        least = rows.astype(np.intp)
+        lowest = np.full(least.shape, s, dtype=np.intp)
+        np.minimum.at(lowest, (np.arange(len(least))[:, None], least), np.arange(n) // s)
+        return np.take_along_axis(lowest, least[:, :s], axis=1).astype(sring._key_dtype(s))
+
+    monkeypatch.setattr(sring, "_quotient_rows", mutated)
+    sring._section_ring_cached.cache_clear()
+    try:
+        assert next(row_layer_mismatches(48), None) is not None
+    finally:
+        sring._section_ring_cached.cache_clear()
 
 
 def test_closure_builds_no_partition(monkeypatch):
     # every ring enters the closure as a row of least points: the catalogs
     # 1..40, rebuilt from an empty cache, call none of the partition
-    # builders, wherever a circulant module binds them
+    # builders or public constructors, wherever a circulant module binds
+    # them, and read no ring's row
     import sys
 
     from circulant import catalog
@@ -444,11 +483,14 @@ def test_closure_builds_no_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"partition built from {args!r:.60}")
 
-    names = ("unit_orbits", "tensor_partition", "canonical_partition")
+    names = ("unit_orbits", "canonical_partition", "cyclotomic", "tensor", "generalized_wreath",
+             "section_ring")
     for module in list(sys.modules.values()):
         if module.__name__.startswith("circulant"):
             for name in names:
                 if hasattr(module, name) or module is catalog:
                     monkeypatch.setattr(module, name, refuse, raising=False)
     catalog._enumerate_cached.cache_clear()
-    assert [enumerate_srings(n) for n in range(1, 41)] == catalogs
+    rebuilt = [enumerate_srings(n) for n in range(1, 41)]
+    assert rebuilt == catalogs
+    assert not any("least_points" in vars(ring) for cat in rebuilt for ring in cat)

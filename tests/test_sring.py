@@ -358,6 +358,47 @@ def test_section_ring_examples(z9_fixture):
         section_ring(rank2(9), Section(9, 3, 1))
 
 
+@pytest.mark.parametrize("cells", [((0,), (1,), (2, 4, 5), (3,)),
+                                   ((0,), (1, 2), (3,), (4,), (5,))])
+def test_section_ring_refuses_images_that_are_no_partition(cells):
+    # raw partitions of Z_6 that are no S-rings, with L = {0, 3} a union of
+    # cells: the images of their cells mod 3 overlap ({1} and {1, 2}, or
+    # {1, 2}, {1} and {2}), so they form no ring on G/L
+    ring = SRing(6, cells)
+    assert subgroup_lattice(ring) == (1, 2, 6)
+    with pytest.raises(DomainError, match="section images of basic sets do not form a partition"):
+        section_ring(ring, Section(6, 6, 2))
+    # as a left factor its quotient row by L is [0, 1, 1], that of a
+    # right factor's ring on U/L, yet it has no ring on U/L to share
+    right = cyclotomic(6, (5,))
+    with pytest.raises(DomainError, match="section images of basic sets do not form a partition"):
+        generalized_wreath(ring, right, Section(12, 6, 2))
+
+
+@pytest.mark.parametrize("ring", [rank2(256), cyclotomic(256, (3,)), rank2(65536)],
+                         ids=["rank2-256", "cyc3-256", "rank2-65536"])
+def test_rows_at_moduli_that_fill_their_dtype(ring):
+    # at n = 256 and n = 65536 the rows of Z_n reach the top of a narrow
+    # dtype, while the restriction to the trivial subgroup divides by n and
+    # a product over U = 1 multiplies by it
+    from oracles import generalized_wreath_partition, lattice, least_points, section_partition
+    from circulant.structure import proj_classes
+
+    n = ring.n
+    assert np.array_equal(ring.least_points, least_points(n, ring.cells))
+    assert subgroup_lattice(ring) == lattice(ring)
+    for u in lattice(ring):
+        for l in divisors(u):
+            if l in lattice(ring):
+                assert section_ring(ring, Section(n, u, l)).cells == section_partition(
+                    ring, Section(n, u, l))
+    for cl in proj_classes(ring):
+        assert cl.rank == len(section_partition(ring, cl.s_min))
+    trivial = Section(n, 1, 1)
+    assert wreath(group_ring(1), ring, n).cells == generalized_wreath_partition(
+        group_ring(1), ring, trivial) == ring.cells
+
+
 def test_tensor_section_compatibility():
     a1, a2 = cyclotomic(5, (2,)), cyclotomic(8, (3,))
     t = tensor(a1, a2)
@@ -393,7 +434,7 @@ def test_radical_examples(z9_fixture):
 def test_radical_of_set_oracle():
     # brute force: largest divisor d whose subgroup stabilizes X, and the
     # number of g with X + g = X
-    from circulant import subgroup_elements
+    from oracles import subgroup_elements
 
     rng = random.Random(7)
     for _ in range(200):

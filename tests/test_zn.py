@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from circulant import DomainError, Section, is_multiple, subgroup_elements, unit_orbits
+from circulant import DomainError, Section, is_multiple, unit_orbits
+from oracles import subgroup_elements
 from circulant.zn import (
     big_omega,
     crt_idempotents,
